@@ -11,7 +11,7 @@ it.  The justification is mandatory so waivers stay auditable.
 
 Rules
 -----
-Line-based (ported from the original scripts/lint.py):
+Line-based (ported from the original bare-regex linter):
   raw-new-delete, float-eq, unordered-iter, pragma-once, obs-name,
   loop-alloc, spmm-blocking — see the per-rule messages for rationale.
 
@@ -39,7 +39,7 @@ Graph-based (new in this framework):
 
 The hot set is rooted at the kernel entry points by name (multiply*,
 pack/unpack_block, apply_block_pendings, accumulate_series, the solver
-sweeps, run_batch/run_multi, all_starts_points) and closed over calls to
+sweeps, run_batch, all_starts_points) and closed over calls to
 functions defined in the analyzed tree, resolved same-file, then
 same-directory, then unique-global.  Scheduling boundaries
 (parallel_for / parallel_reduce) and Workspace arena channels
@@ -112,7 +112,7 @@ def finding(ctx, line, rule, message):
 
 
 # --------------------------------------------------------------------------
-# Legacy line-based passes (ported from scripts/lint.py)
+# Legacy line-based passes (ported from the original bare-regex linter)
 # --------------------------------------------------------------------------
 
 EXACT_SENTINELS = {"0.0", "1.0", "0.", "1.", ".0"}
@@ -427,7 +427,6 @@ HOT_ROOT_PATTERNS = [
     re.compile(p) for p in (
         r"^multiply(_left)?(_block)?(_fused)?$",
         r"^multiply(_left)?_active$",
-        r"^multiply_multi",
         r"^apply_block_pendings$",
         r"^pack_block$",
         r"^unpack_block$",
@@ -438,7 +437,6 @@ HOT_ROOT_PATTERNS = [
         r"^solve_fixpoint$",
         r"^power_stationary$",
         r"^run_batch$",
-        r"^run_multi$",
         r"^all_starts_points$",
         r"^sign_states$",
     )

@@ -7,6 +7,7 @@
 
 #include "core/validate.hpp"
 #include "ctmc/foxglynn.hpp"
+#include "matrix/spmm.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -21,6 +22,9 @@ ErlangEngine::ErlangEngine(std::size_t phases, TransientOptions transient,
       transient_(transient) {
   if (phases_ == 0)
     throw ModelError("ErlangEngine: the number of phases must be positive");
+  // The transient runs never read rhs_block, but a malformed knob is
+  // rejected here exactly as the other engines reject it.
+  (void)resolve_rhs_block(transient_.rhs_block);
 }
 
 std::string ErlangEngine::name() const {
@@ -177,13 +181,13 @@ std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid
   const std::size_t k = phases_;
   // The expanded chain has the same size for every reward column, so one
   // arena serves every batched transient run of the sweep: the first
-  // column warms it, the rest iterate without heap traffic.  The
-  // transient options' rhs_block rides along: each column's batched run
-  // carries all of its live horizons as one interleaved accumulator
-  // block per matrix pass (ctmc/uniformisation.cpp), so a column costs
-  // about one SpMV stream regardless of how many horizons share it.
-  // (Columns cannot be blocked with each other — every reward bound
-  // expands to a different chain.)
+  // column warms it, the rest iterate without heap traffic.  Each
+  // column's batched run always carries all of its live horizons as one
+  // interleaved accumulator block per matrix pass
+  // (ctmc/uniformisation.cpp), so a column costs about one SpMV stream
+  // regardless of how many horizons share it; rhs_block sizes only the
+  // Sericola and discretisation lane groups.  (Columns cannot be blocked
+  // with each other — every reward bound expands to a different chain.)
   Workspace grid_workspace;
   TransientOptions transient = transient_;
   if (transient.workspace == nullptr) transient.workspace = &grid_workspace;

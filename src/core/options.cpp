@@ -24,9 +24,9 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
 
   // Every engine receives the multi-RHS block width: Sericola and the
   // discretisation scheme take it directly (their grid paths block the
-  // coefficient products / start-state sweeps), the pseudo-Erlang engine
-  // inherits it through TransientOptions (its batched uniformisation runs
-  // block the per-horizon accumulators and multi-start groups).
+  // coefficient products / start-state sweeps); the pseudo-Erlang engine
+  // only validates it, since its batched uniformisation runs always carry
+  // their horizons as one interleaved accumulator block.
   switch (options.engine) {
     case P3Engine::kSericola:
       return std::make_unique<SericolaEngine>(options.sericola_epsilon,

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "ctmc/foxglynn.hpp"
 #include "matrix/simd.hpp"
-#include "matrix/spmm.hpp"
 #include "matrix/support.hpp"
-#include "matrix/vector_ops.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -63,22 +62,58 @@ struct StepLatencySample {
   std::int64_t t0;
 };
 
+/// acc[i * W + w] += weights[w] * x[i] for every state i and window w
+/// (W = weights.size()): the fused epilogue's per-lane arithmetic, run
+/// outside a product for the steady-state fold and the final flush.
+void add_weighted(std::span<const double> x, std::span<const double> weights,
+                  std::span<double> acc) {
+  const std::size_t num_windows = weights.size();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double xi = x[i];
+    double* out = acc.data() + i * num_windows;
+    CSRL_PRAGMA_SIMD
+    for (std::size_t w = 0; w < num_windows; ++w) out[w] += weights[w] * xi;
+  }
+}
+
+/// Set weights[w] to window w's Poisson weight at n jumps (0.0 outside
+/// the window).  Returns whether any window covers n, i.e. whether step
+/// n has an epilogue to carry at all.
+bool weights_at(const std::vector<PoissonWeights>& windows, std::size_t n,
+                std::span<double> weights) {
+  bool any = false;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const PoissonWeights& window = windows[w];
+    // Fox-Glynn guarantees at least one weight for every lambda*t >= 0;
+    // the size bound keeps a degenerate window from reading past its end.
+    const bool covered =
+        n >= window.left && n - window.left < window.weights.size();
+    weights[w] = covered ? window.weights[n - window.left] : 0.0;
+    any = any || covered;
+  }
+  return any;
+}
+
 /// The one series loop behind every transient entry point, single- or
 /// multi-horizon (a single horizon is simply a one-window batch; the
 /// header's bitwise batch == single guarantee is by construction).  One
-/// iterate sequence P^n serves every window; pre-zeroed *results[i]
-/// receives exactly the weight-n axpy sequence its horizon needs.
+/// iterate sequence P^n serves every window.  The per-window running sums
+/// live interleaved in acc[i * W + w] (W = windows.size(); zeroed here),
+/// and all W Poisson updates of one step ride the product's traversal as
+/// ONE FusedBlockAxpy — a contiguous, vectorizable lane loop per row.
+/// Every lane performs the identical out += weight * x sequence of its
+/// own single run: steps outside a window carry lane weight 0.0, whose
+/// exact zero add is a bit-level no-op (matrix/support.hpp), and steps
+/// outside every window carry no epilogue at all.
 ///
 /// Poisson-weight updates are deferred one step so they ride the next
 /// SpMV's memory traversal (the fused kernels of matrix/csr.hpp): the
-/// weight-n axpy on the step-n iterate is carried as a pending into step
-/// n + 1.  The window anchors (weight 0 on the start vector) seed the
-/// first step's pendings, and whatever is pending when the loop ends is
-/// flushed as a plain axpy.  In every case the per-element arithmetic is
-/// the identical y[i] += w * x[i] of the unfused loop, so fusion changes
-/// no bits.  A steady-state cutoff at step n happens before weight n is
-/// pended, so the remaining-mass fold (which starts at n) attributes the
-/// window tail exactly as the unfused loop did.
+/// weight-n update on the step-n iterate is carried as the pending of
+/// step n + 1.  The window anchors (weight 0 on the start vector) ride
+/// the first step, and whatever is pending when the loop ends is flushed
+/// outside a product.  A steady-state cutoff at step n happens before
+/// weight n is pended, so the remaining-mass fold (which starts at n)
+/// attributes each window's tail exactly as the unfused loop did.
 ///
 /// While the start vector is non-negative and its support is below the
 /// crossover density, steps run on the active-support kernels, which
@@ -90,55 +125,22 @@ struct StepLatencySample {
 /// substochastic), and the Poisson weights sum to at most 1, so the
 /// total is a sound bound on the L1 (forward) / max-norm (backward)
 /// deviation of every result from its epsilon = 0 run.
-///
-/// Blocked accumulation: with `block_acc` non-empty (size n_states * W,
-/// W = windows.size(), paired with `block_weights` of size W) the
-/// per-window running sums live interleaved in block_acc[i * W + w]
-/// instead of in *results[w], and all W Poisson axpys of one step ride
-/// the traversal as ONE FusedBlockAxpy — a contiguous, vectorizable
-/// lane loop per row instead of W strided scalar passes.  Every lane
-/// performs the identical out += weight * x sequence (steps outside a
-/// window carry lane weight 0.0, whose exact +0.0 add is a bit-level
-/// no-op on accumulators that start at +0.0 and can never reach -0.0 by
-/// addition), so the unpacked lanes equal the unblocked accumulators
-/// bit for bit; the caller unpacks into results afterwards.
 void accumulate_series(const CsrMatrix& p, bool forward,
                        std::vector<double>& iterate,
                        std::vector<double>& scratch,
                        const std::vector<PoissonWeights>& windows,
-                       const std::vector<std::vector<double>*>& results,
-                       const TransientOptions& options,
-                       std::span<double> block_acc = {},
-                       std::span<double> block_weights = {}) {
+                       std::span<double> acc, std::span<double> weights,
+                       const TransientOptions& options) {
   const std::size_t n_states = iterate.size();
   const std::size_t num_windows = windows.size();
   std::size_t max_right = 0;
   for (const PoissonWeights& w : windows)
     max_right = std::max(max_right, w.right);
 
-  // Fox-Glynn guarantees at least one weight for every lambda*t >= 0, but
-  // a degenerate window (e.g. from a pathologically tiny lambda*t) must
-  // not read past the end — guard the anchor access defensively.
-  const bool blocked = !block_acc.empty();
-  std::vector<FusedAxpy> pendings;
-  FusedBlockAxpy block_pending;
-  std::span<const FusedBlockAxpy> block_pendings{};
-  if (blocked) {
-    std::fill(block_acc.begin(), block_acc.end(), 0.0);
-    for (std::size_t i = 0; i < num_windows; ++i)
-      block_weights[i] = (windows[i].left == 0 && !windows[i].weights.empty())
-                             ? windows[i].weights[0]
-                             : 0.0;
-    block_pending = {block_weights.data(), block_acc.data(), num_windows,
-                     num_windows};
-    block_pendings = {&block_pending, 1};
-  } else {
-    pendings.reserve(num_windows);
-    for (std::size_t i = 0; i < num_windows; ++i)
-      if (windows[i].left == 0 && !windows[i].weights.empty())
-        // lint:allow hot-alloc (append into capacity reserved to num_windows just above; never reallocates)
-        pendings.push_back({windows[i].weights[0], results[i]->data()});
-  }
+  std::fill(acc.begin(), acc.end(), 0.0);
+  const FusedBlockAxpy pending{weights.data(), acc.data(), num_windows,
+                               num_windows};
+  bool carry = weights_at(windows, 0, weights);
 
   bool active = options.active_support && n_states > 0 &&
                 eligible_for_active(iterate);
@@ -167,13 +169,15 @@ void accumulate_series(const CsrMatrix& p, bool forward,
     CSRL_COUNT("uniformisation/steps", 1);
     const StepLatencySample step_latency;
     const bool want_diff = options.steady_state_detection;
+    const std::span<const FusedBlockAxpy> pendings =
+        carry ? std::span<const FusedBlockAxpy>(&pending, 1)
+              : std::span<const FusedBlockAxpy>{};
     double diff;
     if (active) {
       diff = forward ? p.multiply_left_active(iterate, scratch, mask_in,
-                                              mask_out, pendings,
-                                              block_pendings, want_diff)
+                                              mask_out, pendings, want_diff)
                      : p.multiply_active(iterate, scratch, mask_in, mask_out,
-                                         pendings, block_pendings, want_diff);
+                                         pendings, want_diff);
       if (options.support_epsilon > 0.0) {
         mask_out.remove_if_not([&](std::size_t i) {
           const double v = scratch[i];
@@ -186,17 +190,13 @@ void accumulate_series(const CsrMatrix& p, bool forward,
         });
       }
     } else if (forward) {
-      // One iterate in flight: batched horizons already ride the fused
-      // pendings, and multi-start runs take run_multi instead.
+      // One iterate in flight: batched horizons ride the fused epilogue.
       // lint:allow spmm-blocking (single power iterate per step)
-      diff = p.multiply_left_fused(iterate, scratch, pendings,
-                                   block_pendings, want_diff);
+      diff = p.multiply_left_fused(iterate, scratch, pendings, want_diff);
     } else {
       // lint:allow spmm-blocking (single power iterate per step)
-      diff = p.multiply_fused(iterate, scratch, pendings, block_pendings,
-                              want_diff);
+      diff = p.multiply_fused(iterate, scratch, pendings, want_diff);
     }
-    pendings.clear();
     // The steady-state check compares the *full* vector (the fused diff
     // is a max-reduction over every entry, serial or parallel alike, and
     // the active kernels account for positions entering or leaving the
@@ -206,36 +206,17 @@ void accumulate_series(const CsrMatrix& p, bool forward,
         diff <= options.steady_state_tolerance) {
       // The iterate has converged: every further power of P yields the
       // same vector, so the rest of each still-running window's Poisson
-      // mass multiplies it.  A horizon whose window ended before this
-      // step already received its full series.
-      if (blocked) {
-        // One blocked fold: lane weights are the remaining window masses
-        // (0.0 for windows that already ended — an exact +0.0 add).
-        for (std::size_t i = 0; i < num_windows; ++i) {
-          double remaining = 0.0;
-          if (windows[i].right >= n)
-            for (std::size_t m = std::max(n, windows[i].left);
-                 m <= windows[i].right; ++m)
-              remaining += windows[i].weight(m);
-          block_weights[i] = remaining;
-        }
-        for (std::size_t i = 0; i < n_states; ++i) {
-          const double s = scratch[i];
-          double* out = block_acc.data() + i * num_windows;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t w = 0; w < num_windows; ++w)
-            out[w] += block_weights[w] * s;
-        }
-      } else {
-        for (std::size_t i = 0; i < windows.size(); ++i) {
-          if (windows[i].right < n) continue;
-          double remaining = 0.0;
-          for (std::size_t m = std::max(n, windows[i].left);
-               m <= windows[i].right; ++m)
-            remaining += windows[i].weight(m);
-          axpy(remaining, scratch, *results[i]);
-        }
+      // mass multiplies it.  A window that ended before this step already
+      // received its full series and folds an exact 0.0.
+      for (std::size_t w = 0; w < num_windows; ++w) {
+        double remaining = 0.0;
+        if (windows[w].right >= n)
+          for (std::size_t m = std::max(n, windows[w].left);
+               m <= windows[w].right; ++m)
+            remaining += windows[w].weight(m);
+        weights[w] = remaining;
       }
+      add_weighted(scratch, weights, acc);
       iterate.swap(scratch);
       CSRL_COUNT("uniformisation/steady_state_cutoffs", 1);
       cutoff = true;
@@ -255,34 +236,10 @@ void accumulate_series(const CsrMatrix& p, bool forward,
           options.support_crossover * static_cast<double>(n_states))
         active = false;
     }
-    if (blocked) {
-      for (std::size_t i = 0; i < num_windows; ++i)
-        block_weights[i] = (n >= windows[i].left && n <= windows[i].right)
-                               ? windows[i].weight(n)
-                               : 0.0;
-    } else {
-      for (std::size_t i = 0; i < windows.size(); ++i)
-        if (n >= windows[i].left && n <= windows[i].right)
-          // lint:allow hot-alloc (capacity reserved to num_windows at setup; the runtime LoopGuard pins series-loop allocations to zero)
-          pendings.push_back({windows[i].weight(n), results[i]->data()});
-    }
+    carry = weights_at(windows, n, weights);
   }
-  if (!cutoff) {
-    if (blocked) {
-      // Flush the last pending block of weights against the final iterate.
-      for (std::size_t i = 0; i < n_states; ++i) {
-        const double xi = iterate[i];
-        double* out = block_acc.data() + i * num_windows;
-        CSRL_PRAGMA_SIMD
-        for (std::size_t w = 0; w < num_windows; ++w)
-          out[w] += block_weights[w] * xi;
-      }
-    } else {
-      for (const FusedAxpy& pending : pendings)
-        axpy(pending.weight, iterate,
-             std::span<double>(pending.out, n_states));
-    }
-  }
+  // Flush the last pending weights against the final iterate.
+  if (!cutoff && carry) add_weighted(iterate, weights, acc);
   if (options.support_epsilon > 0.0)
     CSRL_HIST("uniformisation/truncation_dropped", dropped);
   if (options.budget != nullptr) options.budget->support_dropped += dropped;
@@ -321,49 +278,45 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   const double lambda = resolve_rate(chain, options);
   const CsrMatrix p = chain.uniformised_dtmc(lambda);
 
+  const std::size_t num_windows = series.size();
   std::vector<PoissonWeights> windows;
-  windows.reserve(series.size());
-  std::vector<std::vector<double>*> outs;
-  outs.reserve(series.size());
+  windows.reserve(num_windows);
   for (std::size_t i : series) {
     // lint:allow hot-alloc (per-horizon window setup into capacity reserved above, before the series loop)
     windows.push_back(poisson_weights(lambda * times[i], options.epsilon));
-    results[i].assign(n, 0.0);
-    // lint:allow hot-alloc (per-horizon setup into capacity reserved above, before the series loop)
-    outs.push_back(&results[i]);
+    // lint:allow hot-alloc (sizes each result once at entry, before the series loop)
+    results[i].resize(n);
   }
-
-  // With more than one live horizon (and blocking not disabled via
-  // rhs_block == 1) the per-horizon Poisson accumulators travel as one
-  // interleaved block: every step updates all of them in one contiguous
-  // lane loop per row instead of one strided pass per horizon.  The
-  // unpacked lanes are bitwise identical to the unblocked accumulators
-  // (see accumulate_series), so the knob changes speed only.
-  const std::size_t num_windows = series.size();
-  const bool block_horizons =
-      num_windows > 1 && resolve_rhs_block(options.rhs_block) > 1;
 
   // The guard observes the whole series phase: against a warmed arena
   // the leases reuse retired buffers and the loop itself performs no
   // arena allocation, so the counter reports zero (tests pin this).
+  // Largest lease first: the arena hands out its biggest retired buffer
+  // on every acquire, so descending sizes keep a warmed arena's buffers
+  // matched to the same requests call after call.  A single horizon
+  // accumulates straight into its result vector and needs no lease of
+  // its own; several share one interleaved block, with their lane
+  // weights at its tail, unpacked into the results afterwards.
   Workspace::LoopGuard guard(options.workspace);
+  std::optional<Workspace::Lease> block_lease;
+  if (num_windows > 1)
+    block_lease.emplace(options.workspace, (n + 1) * num_windows);
   Workspace::Lease iterate_lease(options.workspace, n);
   Workspace::Lease scratch_lease(options.workspace, n);
-  Workspace::Lease acc_lease(options.workspace,
-                             block_horizons ? n * num_windows : 0);
-  Workspace::Lease weights_lease(options.workspace,
-                                 block_horizons ? num_windows : 0);
+  double single_weight = 0.0;
+  std::span<double> acc(results[series[0]]);
+  std::span<double> weights(&single_weight, 1);
+  if (block_lease) {
+    acc = block_lease->span().first(n * num_windows);
+    weights = block_lease->span().last(num_windows);
+  }
   std::vector<double>& iterate = iterate_lease.get();
   iterate.assign(start.begin(), start.end());
-  accumulate_series(p, forward, iterate, scratch_lease.get(), windows, outs,
-                    options,
-                    block_horizons ? acc_lease.span() : std::span<double>{},
-                    block_horizons ? weights_lease.span()
-                                   : std::span<double>{});
-  if (block_horizons) {
-    const std::span<const double> acc = acc_lease.span();
+  accumulate_series(p, forward, iterate, scratch_lease.get(), windows, acc,
+                    weights, options);
+  if (block_lease) {
     for (std::size_t w = 0; w < num_windows; ++w) {
-      std::vector<double>& out = *outs[w];
+      std::vector<double>& out = results[series[w]];
       for (std::size_t i = 0; i < n; ++i) out[i] = acc[i * num_windows + w];
     }
   }
@@ -371,184 +324,13 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   return results;
 }
 
-/// Blocked multi-start runner behind transient_distribution_multi /
-/// transient_backward_multi: groups the start vectors into row-major
-/// lanes of at most rhs_block and streams the uniformised matrix once
-/// per step for a whole group via the *_block_fused kernels.  Per lane
-/// the iteration performs exactly the arithmetic of that start's
-/// single-start batch run — same weighted axpys in the same order, with
-/// per-lane steady-state diffs deciding each lane's cutoff at the same
-/// step its own run would cut (a converged lane folds its remaining
-/// window mass and goes dormant: its lane weights turn 0.0, whose exact
-/// +0.0 adds change no bits; the block keeps iterating for the other
-/// lanes).  Results are therefore bitwise identical to the per-start
-/// loop.  Falls back to that loop outright when blocking is off
-/// (rhs_block == 1), only one start is given, or support_epsilon > 0
-/// (the single runs then truncate on the active path, which a shared
-/// dense block cannot reproduce).
-std::vector<std::vector<std::vector<double>>> run_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> starts,
-    std::span<const double> times, const TransientOptions& options,
-    const char* what, bool forward) {
-  const std::size_t n = chain.num_states();
-  for (const std::vector<double>& s : starts)
-    if (s.size() != n)
-      // lint:allow hot-throw (argument validation at entry, before any series work)
-      throw ModelError(std::string(what) + ": vector size mismatch");
-  for (double t : times)
-    if (!(t >= 0.0) || !std::isfinite(t))
-      // lint:allow hot-throw (argument validation at entry, before any series work)
-      throw ModelError(std::string(what) + ": times must be finite and >= 0");
-
-  const std::size_t num_starts = starts.size();
-  const std::size_t block = resolve_rhs_block(options.rhs_block);
-  std::vector<std::vector<std::vector<double>>> all(num_starts);
-  if (num_starts == 0) return all;
-  if (block == 1 || num_starts == 1 || n == 0 ||
-      options.support_epsilon > 0.0) {
-    for (std::size_t s = 0; s < num_starts; ++s)
-      all[s] = run_batch(chain, starts[s], times, options, what, forward);
-    return all;
-  }
-
-  // Degenerate horizons (t == 0, absorbing chain) copy the start; the
-  // rest run the blocked series.
-  // lint:allow hot-alloc (result-slot sizing at entry, one resize per start vector)
-  for (std::size_t s = 0; s < num_starts; ++s) all[s].resize(times.size());
-  std::vector<std::size_t> series;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] == 0.0 || chain.max_exit_rate() == 0.0)
-      for (std::size_t s = 0; s < num_starts; ++s) all[s][i] = starts[s];
-    else
-      series.push_back(i);  // lint:allow hot-alloc (horizon scan at entry, before the series loop)
-  }
-  if (series.empty()) return all;
-
-  const double lambda = resolve_rate(chain, options);
-  const CsrMatrix p = chain.uniformised_dtmc(lambda);
-  p.warm_kernel_caches(forward);
-
-  const std::size_t num_windows = series.size();
-  std::vector<PoissonWeights> windows;
-  windows.reserve(num_windows);
-  std::size_t max_right = 0;
-  for (std::size_t i : series) {
-    // lint:allow hot-alloc (per-horizon window setup into capacity reserved above, before the series loop)
-    windows.push_back(poisson_weights(lambda * times[i], options.epsilon));
-    max_right = std::max(max_right, windows.back().right);
-  }
-
-  Workspace::LoopGuard guard(options.workspace);
-  // Largest lease first: the arena hands out its biggest retired buffer
-  // on every acquire, so descending-size acquisition keeps a warmed
-  // arena's buffers matched to the same requests call after call.
-  Workspace::Lease acc_lease(options.workspace, num_windows * n * block);
-  Workspace::Lease x_lease(options.workspace, n * block);
-  Workspace::Lease y_lease(options.workspace, n * block);
-  Workspace::Lease weights_lease(options.workspace, num_windows * block);
-  std::vector<FusedBlockAxpy> block_pendings(num_windows);
-  std::vector<double> diffs(block, 0.0);
-  std::vector<char> dormant(block, 0);
-  const double* cols[kMaxRhsBlock];
-
-  for (std::size_t group = 0; group < num_starts; group += block) {
-    const std::size_t width = std::min(block, num_starts - group);
-    std::vector<double>& x = x_lease.get();
-    std::vector<double>& y = y_lease.get();
-    for (std::size_t b = 0; b < width; ++b)
-      cols[b] = starts[group + b].data();
-    pack_block({cols, width}, x, 0, n, width);
-
-    double* const acc = acc_lease.get().data();
-    double* const weights = weights_lease.get().data();
-    std::fill_n(acc, num_windows * n * width, 0.0);
-    for (std::size_t w = 0; w < num_windows; ++w) {
-      double* const lane_weights = weights + w * block;
-      const double anchor =
-          (windows[w].left == 0 && !windows[w].weights.empty())
-              ? windows[w].weights[0]
-              : 0.0;
-      for (std::size_t b = 0; b < width; ++b) lane_weights[b] = anchor;
-      block_pendings[w] = {lane_weights, acc + w * n * width, width, width};
-    }
-    std::fill(dormant.begin(), dormant.end(), 0);
-    std::size_t live = width;
-
-    for (std::size_t step = 1; step <= max_right && live > 0; ++step) {
-      CSRL_COUNT("uniformisation/steps", 1);
-      const StepLatencySample step_latency;
-      const bool want_diff = options.steady_state_detection;
-      const std::span<double> diff_span =
-          want_diff ? std::span<double>(diffs.data(), width)
-                    : std::span<double>{};
-      if (forward)
-        p.multiply_left_block_fused(x, y, width, width, block_pendings,
-                                    diff_span);
-      else
-        p.multiply_block_fused(x, y, width, width, block_pendings, diff_span);
-      if (want_diff) {
-        for (std::size_t b = 0; b < width; ++b) {
-          if (dormant[b] != 0 || diffs[b] > options.steady_state_tolerance)
-            continue;
-          // Lane b converged: fold each still-running window's remaining
-          // Poisson mass from the new iterate, exactly as its single run
-          // folds at this step, then stop accumulating the lane.
-          for (std::size_t w = 0; w < num_windows; ++w) {
-            double remaining = 0.0;
-            if (windows[w].right >= step)
-              for (std::size_t m = std::max(step, windows[w].left);
-                   m <= windows[w].right; ++m)
-                remaining += windows[w].weight(m);
-            if (remaining != 0.0) {
-              double* const lane_acc = acc + w * n * width;
-              for (std::size_t i = 0; i < n; ++i)
-                lane_acc[i * width + b] += remaining * y[i * width + b];
-            }
-          }
-          dormant[b] = 1;
-          --live;
-          CSRL_COUNT("uniformisation/steady_state_cutoffs", 1);
-        }
-      }
-      x.swap(y);
-      if (live == 0) break;
-      for (std::size_t w = 0; w < num_windows; ++w) {
-        double* const lane_weights = weights + w * block;
-        const double next =
-            (step >= windows[w].left && step <= windows[w].right)
-                ? windows[w].weight(step)
-                : 0.0;
-        for (std::size_t b = 0; b < width; ++b)
-          lane_weights[b] = dormant[b] != 0 ? 0.0 : next;
-      }
-    }
-    if (live > 0) {
-      // Flush the last pending weights against the final iterate
-      // (dormant lanes already carry weight 0.0).
-      for (std::size_t w = 0; w < num_windows; ++w) {
-        const double* const lane_weights = weights + w * block;
-        double* const lane_acc = acc + w * n * width;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double* xi = x.data() + i * width;
-          double* out = lane_acc + i * width;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t b = 0; b < width; ++b)
-            out[b] += lane_weights[b] * xi[b];
-        }
-      }
-    }
-    for (std::size_t w = 0; w < num_windows; ++w) {
-      const double* const lane_acc = acc + w * n * width;
-      for (std::size_t b = 0; b < width; ++b) {
-        std::vector<double>& out = all[group + b][series[w]];
-        // lint:allow hot-alloc (sizes each caller-owned result vector once while unpacking, after the series loop)
-        out.resize(n);
-        for (std::size_t i = 0; i < n; ++i) out[i] = lane_acc[i * width + b];
-      }
-    }
-  }
-  CSRL_COUNT("uniformisation/allocs_in_loop", guard.heap_allocations());
-  return all;
+/// Terminal value vectors must be finite: a weight-0.0 lane would add
+/// 0 * inf = NaN, and the result would be silently non-finite anyway.
+void require_finite_terminal(std::span<const double> terminal,
+                             const char* what) {
+  for (double v : terminal)
+    if (!std::isfinite(v))
+      throw ModelError(std::string(what) + ": terminal values must be finite");
 }
 
 }  // namespace
@@ -602,6 +384,7 @@ std::vector<double> transient_backward(const Ctmc& chain,
     throw ModelError("transient_backward: terminal vector size mismatch");
   if (!(t >= 0.0) || !std::isfinite(t))
     throw ModelError("transient_backward: time must be finite and >= 0");
+  require_finite_terminal(terminal, "transient_backward");
 
   if (t == 0.0 || n == 0 || chain.max_exit_rate() == 0.0)
     return std::vector<double>(terminal.begin(), terminal.end());
@@ -660,6 +443,7 @@ std::vector<std::vector<double>> transient_distribution_batch(
 std::vector<std::vector<double>> transient_backward_batch(
     const Ctmc& chain, std::span<const double> terminal,
     std::span<const double> times, const TransientOptions& options) {
+  require_finite_terminal(terminal, "transient_backward_batch");
   CSRL_SPAN("ctmc/transient/backward_batch");
   auto results = run_batch(chain, terminal, times, options,
                            "transient_backward_batch", /*forward=*/false);
@@ -681,58 +465,6 @@ std::vector<std::vector<double>> transient_reach_batch(
   if (target.size() != chain.num_states())
     throw ModelError("transient_reach_batch: target universe size mismatch");
   return transient_backward_batch(chain, target.indicator(), times, options);
-}
-
-std::vector<std::vector<std::vector<double>>> transient_distribution_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> initials,
-    std::span<const double> times, const TransientOptions& options) {
-  for (const std::vector<double>& initial : initials)
-    for (double v : initial)
-      if (!(v >= 0.0) || !std::isfinite(v))
-        throw ModelError(
-            "transient_distribution_multi: initial entries must be >= 0");
-
-  CSRL_SPAN("ctmc/transient/forward_multi");
-  auto results = run_multi(chain, initials, times, options,
-                           "transient_distribution_multi", /*forward=*/true);
-  CSRL_CONTRACT(
-      [&] {
-        for (std::size_t s = 0; s < initials.size(); ++s) {
-          double mass_in = 0.0;
-          for (double v : initials[s]) mass_in += v;
-          for (const auto& result : results[s]) {
-            if (!within_probability_bounds(result, mass_in, 1e-9))
-              return false;
-            double mass_out = 0.0;
-            for (double v : result) mass_out += v;
-            if (mass_out > mass_in + 1e-9) return false;
-          }
-        }
-        return true;
-      }(),
-      "transient_distribution_multi: a result is not a sub-distribution of "
-      "its initial mass");
-  return results;
-}
-
-std::vector<std::vector<std::vector<double>>> transient_backward_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> terminals,
-    std::span<const double> times, const TransientOptions& options) {
-  CSRL_SPAN("ctmc/transient/backward_multi");
-  auto results = run_multi(chain, terminals, times, options,
-                           "transient_backward_multi", /*forward=*/false);
-  CSRL_CONTRACT(
-      [&] {
-        for (std::size_t s = 0; s < terminals.size(); ++s) {
-          if (!within_probability_bounds(terminals[s], 1.0, 0.0)) continue;
-          for (const auto& result : results[s])
-            if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
-        }
-        return true;
-      }(),
-      "transient_backward_multi: [0,1] terminal values produced an "
-      "out-of-range expectation");
-  return results;
 }
 
 }  // namespace csrl

@@ -54,17 +54,17 @@ struct TransientOptions {
   /// Frontier density (fraction of states) above which the active mode
   /// hands over to the dense kernel.
   double support_crossover = 0.25;
-  /// Block width B for the multi-RHS (SpMM) paths: batched runs carry
-  /// their per-horizon Poisson accumulators as one interleaved block per
-  /// matrix pass, the multi-start entry points group start vectors into
-  /// lanes of at most B, and the P3 engines group their level/start
-  /// sweeps the same way (matrix/spmm.hpp).  0 = automatic: the
+  /// Block width B for the multi-RHS (SpMM) lane groups of the Sericola
+  /// and discretisation engines (matrix/spmm.hpp); the CheckOptions knob
+  /// reaches them through this field.  Transient runs themselves do not
+  /// read it: batched horizons always travel as one interleaved
+  /// accumulator block per matrix pass.  0 = automatic: the
   /// CSRL_RHS_BLOCK environment variable if set, else the bench-chosen
   /// default (kDefaultRhsBlock, currently 8); an explicit value wins
   /// over the environment, exactly the num_threads pattern.  1 disables
   /// blocking (the one-RHS paths).  Values above kMaxRhsBlock (64) — or
-  /// an environment value of 0 — are rejected.  Results are bitwise
-  /// identical at every width.
+  /// an environment value of 0 — are rejected when an engine is built.
+  /// Results are bitwise identical at every width.
   std::size_t rhs_block = 0;
   /// Optional scratch arena (util/workspace.hpp): series buffers are
   /// leased from it instead of allocated per call, so a warmed arena
@@ -88,7 +88,8 @@ std::vector<double> transient_distribution(const Ctmc& chain,
 /// Backward transient analysis with an arbitrary terminal value vector v:
 /// returns u with u(s) = E_s[v(X_t)] = (e^{Qt} v)(s).  With v an indicator
 /// this is occupancy probability; with v a vector of until-probabilities it
-/// implements the two-phase scheme for general time intervals.
+/// implements the two-phase scheme for general time intervals.  Every
+/// entry of v must be finite (ModelError otherwise).
 std::vector<double> transient_backward(const Ctmc& chain,
                                        std::span<const double> terminal,
                                        double t,
@@ -134,37 +135,5 @@ std::vector<std::vector<double>> transient_backward_batch(
 std::vector<std::vector<double>> transient_reach_batch(
     const Ctmc& chain, const StateSet& target, std::span<const double> times,
     const TransientOptions& options = {});
-
-// -- Multi-start (blocked multi-RHS) forms ---------------------------------
-//
-// Several t = 0 vectors travel through the chain together: the starts
-// are grouped into row-major blocks of at most rhs_block lanes
-// (matrix/spmm.hpp) and each group streams the uniformised matrix ONCE
-// per step via the *_block_fused kernels, instead of once per start.
-// result[s][i] is BITWISE identical to the corresponding single-start
-// batch call: every lane accumulates the same weighted iterates in the
-// same order, and steady-state detection runs per lane (the fused block
-// kernels return per-lane diffs), so each lane folds its remaining
-// Poisson mass at exactly the step its own single run would.  The
-// active-support mode tracks one frontier per run and therefore stays
-// off inside a block; that changes no bits while support_epsilon == 0
-// (the active kernels are bitwise identical to the dense ones there),
-// so with support_epsilon > 0 — where truncation makes the active path
-// produce genuinely different values — the multi entry points fall back
-// to per-start single runs instead.
-
-/// transient_distribution for several initial distributions;
-/// result[s][i] bitwise equals
-/// transient_distribution_batch(chain, initials[s], times, options)[i].
-std::vector<std::vector<std::vector<double>>> transient_distribution_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> initials,
-    std::span<const double> times, const TransientOptions& options = {});
-
-/// transient_backward for several terminal value vectors; result[s][i]
-/// bitwise equals
-/// transient_backward_batch(chain, terminals[s], times, options)[i].
-std::vector<std::vector<std::vector<double>>> transient_backward_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> terminals,
-    std::span<const double> times, const TransientOptions& options = {});
 
 }  // namespace csrl

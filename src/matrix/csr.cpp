@@ -21,7 +21,7 @@ using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
 
-/// Apply every blocked epilogue at position `r` from the scalar source
+/// Apply every fused epilogue at position `r` from the iterate value
 /// `xr`: out[r * stride + b] += weights[b] * xr per lane.  The lane loop
 /// is contiguous and lane-independent, so SIMD cannot reassociate any
 /// lane's sum — annotated, and bitwise equal to the scalar loop.
@@ -59,11 +59,9 @@ inline void charge_epilogue_cost([[maybe_unused]] std::uint64_t positions,
 }
 
 /// Total accumulator lanes the fused epilogues of one pass update.
-inline std::uint64_t epilogue_lanes(
-    std::span<const FusedAxpy> pendings,
-    std::span<const FusedBlockAxpy> block_pendings) {
-  std::uint64_t lanes = pendings.size();
-  for (const FusedBlockAxpy& p : block_pendings) lanes += p.width;
+inline std::uint64_t epilogue_lanes(std::span<const FusedBlockAxpy> pendings) {
+  std::uint64_t lanes = 0;
+  for (const FusedBlockAxpy& p : pendings) lanes += p.width;
   return lanes;
 }
 
@@ -332,15 +330,14 @@ void CsrMatrix::multiply_left(std::span<const double> x, std::span<double> y) co
 
 double CsrMatrix::multiply_fused(std::span<const double> x,
                                  std::span<double> y,
-                                 std::span<const FusedAxpy> pendings,
-                                 std::span<const FusedBlockAxpy> block_pendings,
+                                 std::span<const FusedBlockAxpy> pendings,
                                  bool want_diff) const {
   if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_)
     throw ModelError("CsrMatrix::multiply_fused: dimension mismatch");
   CSRL_COUNT("spmv/multiply", 1);
   CSRL_COUNT("matrix/spmv/rows_active", rows_);
   charge_spmv_cost(nnz(), rows_);
-  charge_epilogue_cost(rows_, epilogue_lanes(pendings, block_pendings));
+  charge_epilogue_cost(rows_, epilogue_lanes(pendings));
 
   const auto process_rows = [&](std::size_t row_begin, std::size_t row_end) {
     double local = 0.0;
@@ -350,8 +347,7 @@ double CsrMatrix::multiply_fused(std::span<const double> x,
         acc += entries_[i].value * x[entries_[i].col];
       y[r] = acc;
       const double xr = x[r];
-      for (const FusedAxpy& p : pendings) p.out[r] += p.weight * xr;
-      apply_block_pendings(block_pendings, r, xr);
+      apply_block_pendings(pendings, r, xr);
       if (want_diff) local = std::max(local, std::abs(acc - xr));
     }
     return local;
@@ -374,15 +370,14 @@ double CsrMatrix::multiply_fused(std::span<const double> x,
 
 double CsrMatrix::multiply_left_fused(std::span<const double> x,
                                       std::span<double> y,
-                                      std::span<const FusedAxpy> pendings,
-                                      std::span<const FusedBlockAxpy> block_pendings,
+                                      std::span<const FusedBlockAxpy> pendings,
                                       bool want_diff) const {
   if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_)
     throw ModelError("CsrMatrix::multiply_left_fused: dimension mismatch");
   CSRL_COUNT("spmv/multiply_left", 1);
   CSRL_COUNT("matrix/spmv/rows_active", rows_);
   charge_spmv_cost(nnz(), rows_);
-  charge_epilogue_cost(rows_, epilogue_lanes(pendings, block_pendings));
+  charge_epilogue_cost(rows_, epilogue_lanes(pendings));
 
   // Gather along the transpose: each column's contributions accumulate
   // in ascending original-row order, the exact sequence the serial
@@ -399,8 +394,7 @@ double CsrMatrix::multiply_left_fused(std::span<const double> x,
       }
       y[col] = acc;
       const double xc = x[col];
-      for (const FusedAxpy& p : pendings) p.out[col] += p.weight * xc;
-      apply_block_pendings(block_pendings, col, xc);
+      apply_block_pendings(pendings, col, xc);
       if (want_diff) local = std::max(local, std::abs(acc - xc));
     }
     return local;
@@ -424,8 +418,7 @@ double CsrMatrix::multiply_left_fused(std::span<const double> x,
 double CsrMatrix::multiply_active(std::span<const double> x,
                                   std::span<double> y, const SupportMask& in,
                                   SupportMask& out,
-                                  std::span<const FusedAxpy> pendings,
-                                  std::span<const FusedBlockAxpy> block_pendings,
+                                  std::span<const FusedBlockAxpy> pendings,
                                   bool want_diff) const {
   if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_ ||
       in.universe() != rows_ || out.universe() != rows_)
@@ -449,7 +442,7 @@ double CsrMatrix::multiply_active(std::span<const double> x,
     for (std::size_t r : out.members())
       touched += row_ptr_[r + 1] - row_ptr_[r];
     charge_spmv_cost(touched, out.size());
-    charge_epilogue_cost(in.size(), epilogue_lanes(pendings, block_pendings));
+    charge_epilogue_cost(in.size(), epilogue_lanes(pendings));
   }
 
   // Full-row gathers for the touched rows: off-frontier columns hold an
@@ -461,10 +454,7 @@ double CsrMatrix::multiply_active(std::span<const double> x,
       acc += entries_[i].value * x[entries_[i].col];
     y[r] = acc;
   }
-  for (const FusedAxpy& p : pendings)
-    for (std::size_t i : in.members()) p.out[i] += p.weight * x[i];
-  for (std::size_t i : in.members())
-    apply_block_pendings(block_pendings, i, x[i]);
+  for (std::size_t i : in.members()) apply_block_pendings(pendings, i, x[i]);
 
   double diff = 0.0;
   if (want_diff) {
@@ -479,8 +469,7 @@ double CsrMatrix::multiply_active(std::span<const double> x,
 double CsrMatrix::multiply_left_active(std::span<const double> x,
                                        std::span<double> y,
                                        const SupportMask& in, SupportMask& out,
-                                       std::span<const FusedAxpy> pendings,
-                                       std::span<const FusedBlockAxpy> block_pendings,
+                                       std::span<const FusedBlockAxpy> pendings,
                                        bool want_diff) const {
   if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_ ||
       in.universe() != rows_ || out.universe() != rows_)
@@ -492,7 +481,7 @@ double CsrMatrix::multiply_left_active(std::span<const double> x,
     for (std::size_t r : in.members())
       touched += row_ptr_[r + 1] - row_ptr_[r];
     charge_spmv_cost(touched, in.size());
-    charge_epilogue_cost(in.size(), epilogue_lanes(pendings, block_pendings));
+    charge_epilogue_cost(in.size(), epilogue_lanes(pendings));
   }
 
   for (std::size_t i : out.members()) y[i] = 0.0;
@@ -502,8 +491,7 @@ double CsrMatrix::multiply_left_active(std::span<const double> x,
   // y[col] receives the same contributions in the same order.
   for (std::size_t r : in.members()) {
     const double xr = x[r];
-    for (const FusedAxpy& p : pendings) p.out[r] += p.weight * xr;
-    apply_block_pendings(block_pendings, r, xr);
+    apply_block_pendings(pendings, r, xr);
     if (xr == 0.0) continue;
     for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
       y[entries_[i].col] += xr * entries_[i].value;

@@ -117,92 +117,49 @@ class CsrMatrix {
   // -- Fused series kernels (ctmc/uniformisation.cpp) ----------------------
   //
   // One memory traversal instead of three for the uniformisation loop:
-  // the product, the deferred Poisson-weight axpys of the previous step
-  // (`pendings`: out[i] += weight * x[i]) and the steady-state max-diff
-  // reduction (max_i |y[i] - x[i]|, returned; 0.0 when !want_diff) all
-  // ride the same pass over the vectors.  Requires a square matrix and
-  // x/y/pending targets of size rows() with no aliasing between them.
-  // Every per-element operation matches the unfused kernels exactly, so
-  // results are bit-identical to separate multiply + axpy + max_abs_diff
-  // calls, serial or pooled (the diff is a max-reduction, which is
-  // order-independent).  multiply_left_fused gathers along the cached
-  // transpose even on one lane — the same per-element accumulation order
-  // as the serial scatter, hence the same bits.
+  // the product, the deferred Poisson-weight updates of the previous step
+  // (`pendings`, FusedBlockAxpy in matrix/support.hpp: for every row r
+  // the kernel sweeps, out[r * stride + b] += weights[b] * x[r] for all
+  // lanes b, one contiguous lane loop per row) and the steady-state
+  // max-diff reduction (max_i |y[i] - x[i]|, returned; 0.0 when
+  // !want_diff) all ride the same pass over the vectors.  Requires a
+  // square matrix and x/y/pending targets sized to rows() with no
+  // aliasing between them.  Every per-element operation matches the
+  // unfused kernels exactly, so results are bit-identical to separate
+  // multiply + axpy + max_abs_diff calls, serial or pooled (the diff is a
+  // max-reduction, which is order-independent).  multiply_left_fused
+  // gathers along the cached transpose even on one lane — the same
+  // per-element accumulation order as the serial scatter, hence the same
+  // bits.
 
   /// Fused y = A x; see above.
   double multiply_fused(std::span<const double> x, std::span<double> y,
-                        std::span<const FusedAxpy> pendings,
-                        bool want_diff) const {
-    return multiply_fused(x, y, pendings, {}, want_diff);
-  }
+                        std::span<const FusedBlockAxpy> pendings,
+                        bool want_diff) const;
 
   /// Fused y = x A; see above.
   double multiply_left_fused(std::span<const double> x, std::span<double> y,
-                             std::span<const FusedAxpy> pendings,
-                             bool want_diff) const {
-    return multiply_left_fused(x, y, pendings, {}, want_diff);
-  }
-
-  // Forms that additionally carry blocked epilogues (FusedBlockAxpy in
-  // matrix/support.hpp): for every row r the kernel sweeps, each block
-  // pending adds weights[b] * x[r] into its interleaved accumulator
-  // out[r * stride + b] for all lanes b — one contiguous, SIMD-friendly
-  // lane loop per row instead of one strided scalar store per pending.
-  // The per-lane arithmetic is the identical out += w * x of a scalar
-  // FusedAxpy, so carrying W accumulators blocked or as W scalar
-  // pendings produces the same bits.
-
-  double multiply_fused(std::span<const double> x, std::span<double> y,
-                        std::span<const FusedAxpy> pendings,
-                        std::span<const FusedBlockAxpy> block_pendings,
-                        bool want_diff) const;
-
-  double multiply_left_fused(std::span<const double> x, std::span<double> y,
-                             std::span<const FusedAxpy> pendings,
-                             std::span<const FusedBlockAxpy> block_pendings,
+                             std::span<const FusedBlockAxpy> pendings,
                              bool want_diff) const;
 
-  // -- Blocked multi-RHS (SpMM) kernels (matrix/spmm.cpp) ------------------
+  // -- Blocked multi-RHS (SpMM) kernel (matrix/spmm.cpp) -------------------
   //
   // B right-hand sides travel through ONE traversal of the stored matrix
   // instead of B: re-streaming the matrix is the dominant memory cost of
-  // every sweep, so the blocked forms cut that traffic by the block
+  // every sweep, so the blocked form cuts that traffic by the block
   // width.  Blocks are row-major interleaved — X[i * stride + b] holds
   // element i of lane b — so each stored entry touches one contiguous
   // lane group and the inner lane loops vectorize (matrix/simd.hpp).
   // Lane b accumulates its terms in exactly the order the one-RHS kernel
   // uses; the result lane is therefore bitwise identical to a separate
-  // multiply()/multiply_left() on that lane, at any thread count and
-  // with SIMD on or off.  Requires 1 <= width <= kMaxRhsBlock (see
-  // matrix/spmm.hpp) and width <= stride; x and y must not alias.
+  // multiply() on that lane, at any thread count and with SIMD on or
+  // off.  Requires 1 <= width <= kMaxRhsBlock (see matrix/spmm.hpp) and
+  // width <= stride; x and y must not alias.
 
   /// Y = A X: per lane b, y_b = A x_b.  Requires x of size
   /// cols() * stride covering every lane and y of size rows() * stride.
   void multiply_block(std::span<const double> x, std::span<double> y,
                       std::size_t width, std::size_t stride) const;
-
-  /// Y = X A: per lane b, y_b = x_b A (distribution pushing for several
-  /// distributions at once).
-  void multiply_left_block(std::span<const double> x, std::span<double> y,
-                           std::size_t width, std::size_t stride) const;
-
-  /// Fused block form of multiply_fused: per lane b, y_b = A x_b, block
-  /// pendings applied from the block iterate (out[i*s+b] += w[b] *
-  /// x[i*stride+b]) and, when `diffs` is non-empty (size >= width), the
-  /// per-lane steady-state diffs diffs[b] = max_i |y_b[i] - x_b[i]| —
-  /// all in one traversal, each lane bitwise equal to its one-RHS
-  /// multiply_fused run.  Square matrices only.
-  void multiply_block_fused(std::span<const double> x, std::span<double> y,
-                            std::size_t width, std::size_t stride,
-                            std::span<const FusedBlockAxpy> pendings,
-                            std::span<double> diffs) const;
-
-  /// Fused block form of multiply_left_fused; see above.
-  void multiply_left_block_fused(std::span<const double> x,
-                                 std::span<double> y, std::size_t width,
-                                 std::size_t stride,
-                                 std::span<const FusedBlockAxpy> pendings,
-                                 std::span<double> diffs) const;
 
   // -- Active-support kernels (matrix/support.hpp) -------------------------
   //
@@ -211,46 +168,26 @@ class CsrMatrix {
   // kernels keep masks sorted); off-mask entries of x must be exactly
   // +0.0.  On entry `out` must mask every position where y may hold a
   // stale non-zero (the kernels zero those); on return it masks the new
-  // support of y, sorted.  With non-negative x and pending targets the
-  // result vector, the pending updates and the returned diff are all
-  // bit-identical to the dense fused kernels: skipped positions would
-  // only ever add exact +0.0 terms.  Serial (the frontier regime is
-  // dispatch-bound, not bandwidth-bound); zero heap allocations.
+  // support of y, sorted.  Pendings are applied over the `in` frontier
+  // only.  With non-negative x the result vector, the pending updates and
+  // the returned diff are all bit-identical to the dense fused kernels:
+  // skipped positions would only ever add exact +0.0 terms.  Serial (the
+  // frontier regime is dispatch-bound, not bandwidth-bound); zero heap
+  // allocations.
 
   /// Active y = A x: visits only the rows that can see the frontier
   /// (predecessors of `in`, via the cached transpose — call
   /// warm_kernel_caches first so the loop stays allocation-free).
   double multiply_active(std::span<const double> x, std::span<double> y,
                          const SupportMask& in, SupportMask& out,
-                         std::span<const FusedAxpy> pendings,
-                         bool want_diff) const {
-    return multiply_active(x, y, in, out, pendings, {}, want_diff);
-  }
+                         std::span<const FusedBlockAxpy> pendings,
+                         bool want_diff) const;
 
   /// Active y = x A: scatters only the frontier rows, in ascending order
   /// exactly like the dense serial scatter.
   double multiply_left_active(std::span<const double> x, std::span<double> y,
                               const SupportMask& in, SupportMask& out,
-                              std::span<const FusedAxpy> pendings,
-                              bool want_diff) const {
-    return multiply_left_active(x, y, in, out, pendings, {}, want_diff);
-  }
-
-  // Active forms carrying blocked epilogues as well: block pendings are
-  // applied over the `in` frontier only, matching the dense blocked
-  // kernels bit for bit for non-negative x (off-frontier positions would
-  // only ever contribute exact +0.0 terms).
-
-  double multiply_active(std::span<const double> x, std::span<double> y,
-                         const SupportMask& in, SupportMask& out,
-                         std::span<const FusedAxpy> pendings,
-                         std::span<const FusedBlockAxpy> block_pendings,
-                         bool want_diff) const;
-
-  double multiply_left_active(std::span<const double> x, std::span<double> y,
-                              const SupportMask& in, SupportMask& out,
-                              std::span<const FusedAxpy> pendings,
-                              std::span<const FusedBlockAxpy> block_pendings,
+                              std::span<const FusedBlockAxpy> pendings,
                               bool want_diff) const;
 
   /// Pre-build the lazy caches (row partition and, when `transpose`, the

@@ -22,28 +22,20 @@
 namespace csrl {
 
 /// A deferred running-sum update fused into an SpMV pass (see the fused
-/// kernels in matrix/csr.hpp): out[i] += weight * x[i] applied during the
-/// same memory traversal that reads x for the product.
-struct FusedAxpy {
-  double weight = 0.0;
-  double* out = nullptr;
-};
-
-/// Blocked form of FusedAxpy: one per-lane-weighted running-sum update
-/// into a row-major vector block (matrix/spmm.hpp), applied during the
-/// same traversal as the product.  For every position i the kernel
-/// touches and every lane b < width,
+/// kernels in matrix/csr.hpp): one iterate x feeds `width` interleaved
+/// accumulators, and for every position i the kernel touches and every
+/// lane b < width,
 ///
-///   out[i * stride + b] += weights[b] * source_b(i),
+///   out[i * stride + b] += weights[b] * x[i],
 ///
-/// where source_b(i) is x[i] when the kernel iterates a single vector
-/// (the fused SpMV kernels: one iterate feeding several interleaved
-/// accumulators, e.g. the per-horizon Poisson sums of a batched
-/// uniformisation run) and x[i * stride + b] when it iterates a block
-/// (the *_block_fused SpMM kernels: each lane feeds its own
-/// accumulator).  Lanes whose update is not wanted at this step carry
-/// weight 0.0 — with the non-negative accumulators of the series loops
-/// the added exact +0.0 leaves every bit unchanged (DESIGN.md 3f).
+/// during the same memory traversal that reads x for the product.  The
+/// uniformisation loop carries its per-horizon Poisson sums this way
+/// (width = number of live horizons, 1 for a single horizon, where `out`
+/// is the result vector itself).  Lanes whose update is not wanted at
+/// this step carry weight 0.0: the series loop's accumulators start at
+/// +0.0, which addition can never turn into -0.0, and its iterates are
+/// finite, so the added exact zero leaves every bit unchanged
+/// (DESIGN.md 3f).
 struct FusedBlockAxpy {
   const double* weights = nullptr;  // per-lane weights, size >= width
   double* out = nullptr;            // row-major interleaved accumulator

@@ -372,6 +372,16 @@ class RealTreeTest(unittest.TestCase):
             self.assertIn(expected, roots)
         self.assertGreater(len(self.hot["closure"]), len(roots))
 
+    def test_every_hot_root_pattern_matches_a_function(self):
+        # A pattern that matches nothing roots nothing: it outlived the
+        # kernel it was written for and only hides that the list is stale.
+        names = {fn.name for c in self.contexts.values()
+                 for fn in c.model.functions}
+        for pattern in passes.HOT_ROOT_PATTERNS:
+            self.assertTrue(any(pattern.match(n) for n in names),
+                            f"hot-root pattern {pattern.pattern!r} matches "
+                            "no function in src/")
+
     def test_no_open_hot_violations(self):
         for rule in report.HOT_RULES:
             open_count = sum(1 for f in self.findings

@@ -11,9 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "ctmc/foxglynn.hpp"
 #include "ctmc/uniformisation.hpp"
+#include "matrix/csr.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
@@ -214,6 +217,90 @@ TEST(ActiveSupport, SteadyStateCutoffMatchesBetweenSingleAndBatch) {
         batch[i], "steady-state epilogue single vs batch");
 }
 
+// -- Batched horizons: every result bitwise equals its single call --------
+
+// A random chain with a fixed out-degree and exit rates within a factor
+// of two: the uniformised DTMC mixes within a few dozen steps, so the
+// steady-state cutoff fires inside a long horizon's window.
+Ctmc fast_mixing_chain(std::size_t n, std::size_t degree, std::uint64_t seed) {
+  CsrBuilder builder(n, n);
+  std::uint64_t s = seed;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < degree; ++k) {
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      const std::size_t j = (i + 1 + (s >> 33) % (n - 1)) % n;
+      builder.add(i, j, 1.0 + static_cast<double>((s >> 20) % 4) / 4.0);
+    }
+  return Ctmc(builder.build());
+}
+
+TEST(TransientBatch, BitwiseEqualsSingleAcrossModesThreadsAndWidths) {
+  // Enough stored entries that the dense kernels dispatch on 4 threads.
+  const Ctmc chain = fast_mixing_chain(640, 28, 7);
+  ASSERT_GE(chain.rates().nnz(), std::size_t{1} << 14);
+  std::vector<double> initial(chain.num_states(), 0.0);
+  initial[0] = 1.0;
+  std::vector<double> terminal(chain.num_states(), 0.0);
+  for (std::size_t s = chain.num_states() - 5; s < chain.num_states(); ++s)
+    terminal[s] = 1.0;
+  // t = 0, a repeated horizon, unsorted order, and one long horizon whose
+  // Fox-Glynn window starts past zero jumps (and outlasts the cutoff).
+  const double lambda = chain.max_exit_rate();
+  const double long_t = 60.0 / lambda;
+  ASSERT_GT(poisson_weights(lambda * long_t, TransientOptions{}.epsilon).left,
+            0u);
+  const std::vector<double> times{0.7 / lambda, 0.0, long_t, 5.0 / lambda,
+                                  0.7 / lambda};
+  const auto check = [](const std::vector<double>& single,
+                        const std::vector<double>& batched,
+                        const std::string& what) {
+    ASSERT_EQ(single.size(), batched.size()) << what;
+    EXPECT_EQ(std::memcmp(single.data(), batched.data(),
+                          single.size() * sizeof(double)),
+              0)
+        << what << ": batched result differs from its single call";
+  };
+#ifndef CSRL_OBS_DISABLED
+  obs::ScopedRecording recording;
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+#endif
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_threads(threads);
+    for (const bool active : {false, true})
+      for (const bool steady : {false, true})
+        for (std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+          TransientOptions options;
+          options.active_support = active;
+          options.steady_state_detection = steady;
+          options.rhs_block = width;
+          const auto fwd =
+              transient_distribution_batch(chain, initial, times, options);
+          const auto bwd =
+              transient_backward_batch(chain, terminal, times, options);
+          ASSERT_EQ(fwd.size(), times.size());
+          ASSERT_EQ(bwd.size(), times.size());
+          for (std::size_t i = 0; i < times.size(); ++i) {
+            const std::string what =
+                "threads " + std::to_string(threads) + ", active " +
+                std::to_string(active) + ", steady " + std::to_string(steady) +
+                ", width " + std::to_string(width) + ", horizon " +
+                std::to_string(i);
+            check(transient_distribution(chain, initial, times[i], options),
+                  fwd[i], "forward " + what);
+            check(transient_backward(chain, terminal, times[i], options),
+                  bwd[i], "backward " + what);
+          }
+        }
+  }
+  ThreadPool::set_global_threads(1);
+#ifndef CSRL_OBS_DISABLED
+  EXPECT_GT(obs::metrics_delta(before, obs::snapshot_metrics())
+                .counter("uniformisation/steady_state_cutoffs"),
+            0u)
+      << "horizons too short to exercise the steady-state fold";
+#endif
+}
+
 #ifndef CSRL_OBS_DISABLED
 
 // -- Rows-active accounting: the frontier path touches far fewer rows -----
@@ -258,8 +345,12 @@ TEST(WorkspaceArena, UniformisationLoopIsAllocFreeWhenWarmed) {
   TransientOptions options = active_options();
   options.workspace = &workspace;
 
+  // Batched horizons carry their interleaved accumulator block in the
+  // same arena, so the pin covers more than one window too.
+  const std::vector<double> times{0.5, 1.0, 2.0};
   const obs::MetricsSnapshot cold_before = obs::snapshot_metrics();
   (void)transient_distribution(chain, initial, 1.0, options);
+  (void)transient_distribution_batch(chain, initial, times, options);
   EXPECT_GT(obs::metrics_delta(cold_before, obs::snapshot_metrics())
                 .counter("uniformisation/allocs_in_loop"),
             0u);
@@ -267,6 +358,8 @@ TEST(WorkspaceArena, UniformisationLoopIsAllocFreeWhenWarmed) {
   const obs::MetricsSnapshot warm_before = obs::snapshot_metrics();
   (void)transient_distribution(chain, initial, 1.0, options);
   (void)transient_reach(chain, last_states(model, 1), 1.0, options);
+  (void)transient_distribution_batch(chain, initial, times, options);
+  (void)transient_reach_batch(chain, last_states(model, 1), times, options);
   EXPECT_EQ(obs::metrics_delta(warm_before, obs::snapshot_metrics())
                 .counter("uniformisation/allocs_in_loop"),
             0u)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "matrix/vector_ops.hpp"
 #include "util/error.hpp"
@@ -97,6 +98,20 @@ TEST(TransientDistribution, InvalidInputsThrow) {
   EXPECT_THROW((void)transient_distribution(chain, negative, 1.0), ModelError);
   std::vector<double> short_vec{1.0};
   EXPECT_THROW((void)transient_distribution(chain, short_vec, 1.0), ModelError);
+  // Non-finite terminal values: a weight-0 lane of a batched run would add
+  // 0 * inf = NaN, so they are rejected at the entry, t = 0 included.
+  const std::vector<double> times{0.0, 1.0};
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const std::vector<double> terminal{1.0, bad};
+    for (const double t : times)
+      EXPECT_THROW((void)transient_backward(chain, terminal, t), ModelError)
+          << bad << " at t = " << t;
+    EXPECT_THROW((void)transient_backward_batch(chain, terminal, times),
+                 ModelError)
+        << bad;
+  }
 }
 
 TEST(TransientDistribution, CustomRateMatchesAuto) {
