@@ -35,17 +35,15 @@
 
 namespace csrl {
 
-class Workspace;
-
 /// Section 4.3's engine.  `step` is the discretisation step d.  The
 /// per-state recurrence sweep runs on `pool` (nullptr = the shared pool);
 /// results are bit-identical at any thread count because each state's row
-/// of F is written by exactly one chunk.  `rhs_block` is the multi-start
-/// block width (TransientOptions::rhs_block semantics: 0 = automatic via
-/// CSRL_RHS_BLOCK / kDefaultRhsBlock, 1 disables): the all-starts grid
-/// path propagates up to that many start states' F recursions through one
-/// lane-interleaved sweep instead of one full sweep per start state,
-/// bitwise identical per lane to the one-start runs.
+/// of F is written by exactly one chunk.  `rhs_block` is the lane-group
+/// width of the all-starts grid (0 = automatic via CSRL_RHS_BLOCK /
+/// kDefaultRhsBlock, 1 = one start state per group): each group carries
+/// that many start states' F recursions lane-interleaved, sweeps only the
+/// rows its starts can have reached, and is bitwise identical per lane to
+/// the one-start run.
 class DiscretisationEngine : public JointDistributionEngine {
  public:
   explicit DiscretisationEngine(double step,
@@ -76,22 +74,28 @@ class DiscretisationEngine : public JointDistributionEngine {
                         Interval reward) const;
 
   // joint_probability_all_starts is inherited: the scheme propagates a
-  // density forward from one initial distribution, so the per-start-state
-  // form genuinely costs one run per state.  The paper (like this engine)
-  // evaluates single-initial-state queries only.
+  // density forward from one initial distribution, so the point form runs
+  // joint_distribution once per start state.  It is the oracle the grid
+  // forms below are diffed against.
 
   /// Batched lattice evaluation.  Column k of F^{j+1} depends only on
   /// columns <= k of F^j (reward shifts are non-negative), so one sweep
   /// over a grid wide enough for the largest reward bound leaves every
   /// lower column bit-identical to a narrower run; each grid point is
   /// harvested from the shared F array the moment its own step count j =
-  /// t/d is reached.  A T x R grid thus costs one (max t, max r) run.
+  /// t/d is reached.  A T x R grid thus costs one (max t, max r) run: the
+  /// all-starts grid's kernel with one lane, seeded from the initial
+  /// distribution.
   std::vector<JointDistribution> joint_distribution_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards) const override;
 
-  /// Grid form of the per-start-state shape: one joint_distribution_grid
-  /// run per start state instead of one run per start state *per point*.
+  /// Grid form of the per-start-state shape.  Set-up (reward indices,
+  /// stay factors, donor table, F buffers) happens once per call; then each
+  /// group of rhs_block start states runs one lane-interleaved recursion
+  /// over its reachable rows only, and each live point folds only the
+  /// target rows.  Trivial cells take the point loop's per-start route.
+  /// Bitwise equal to joint_grid_reference.
   std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;
@@ -101,28 +105,6 @@ class DiscretisationEngine : public JointDistributionEngine {
   double step() const { return step_; }
 
  private:
-  /// Body of joint_distribution_grid with the F arrays leased from
-  /// `workspace` (nullptr: plain vectors).  joint_probability_all_starts_grid
-  /// threads one arena through its per-start-state calls so only the first
-  /// run allocates the two n-by-width sweep arrays.
-  std::vector<JointDistribution> joint_distribution_grid_impl(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards, Workspace* workspace) const;
-
-  /// Blocked multi-start form of joint_distribution_grid_impl.  All
-  /// `models` share rates, rewards and labelling and differ only in their
-  /// initial distribution (the per-start-state construction of
-  /// joint_probability_all_starts_grid); one sweep carries models.size()
-  /// lane-interleaved copies of the F recursion (F[(s * width + k) * L + b]
-  /// is lane b's cell), so the model-dependent factors stream once per
-  /// step instead of once per start.  Per lane the recursion performs the
-  /// identical per-cell arithmetic of its own single-start run, so
-  /// result[b] is bitwise equal to joint_distribution_grid_impl(models[b],
-  /// ...).  models.size() must lie in [1, kMaxRhsBlock].
-  std::vector<std::vector<JointDistribution>> joint_distribution_grid_block(
-      std::span<const Mrm> models, std::span<const double> times,
-      std::span<const double> rewards, Workspace* workspace) const;
-
   double step_;
   std::size_t rhs_block_;  // resolved effective width, in [1, kMaxRhsBlock]
 };

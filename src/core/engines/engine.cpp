@@ -70,13 +70,18 @@ std::vector<JointDistribution> joint_distribution_grid_reference(
   return grid;
 }
 
-bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
-                                     JointDistribution& out) {
+bool joint_distribution_is_trivial(const Mrm& model, double t, double r) {
   if (!(t >= 0.0) || !std::isfinite(t))
     throw ModelError("joint_distribution: time bound must be finite and >= 0");
   if (!(r >= 0.0) || !std::isfinite(r))
     throw ModelError("joint_distribution: reward bound must be finite and >= 0");
+  return t == 0.0 || model.num_states() == 0 || r == 0.0 ||
+         (!model.has_impulse_rewards() && r >= model.max_reward() * t);
+}
 
+bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
+                                     JointDistribution& out) {
+  if (!joint_distribution_is_trivial(model, t, r)) return false;
   const std::size_t n = model.num_states();
 
   // At t = 0 no reward has accumulated yet, so the joint distribution is
@@ -105,29 +110,25 @@ bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
   // positive) and never fire a positive-impulse transition.  Freeze the
   // positive-reward states and reroute impulse-carrying transitions into a
   // sink, then read off the transient distribution.
-  if (r == 0.0) {
-    const std::size_t sink = n;
-    CsrBuilder rates(n + 1, n + 1);
-    for (std::size_t s = 0; s < n; ++s) {
-      if (model.reward(s) > 0.0) continue;
-      for (const auto& e : model.rates().row(s)) {
-        const bool tainted = model.impulse(s, e.col) > 0.0;
-        rates.add(s, tainted ? sink : e.col, e.value);
-      }
+  const std::size_t sink = n;
+  CsrBuilder rates(n + 1, n + 1);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (model.reward(s) > 0.0) continue;
+    for (const auto& e : model.rates().row(s)) {
+      const bool tainted = model.impulse(s, e.col) > 0.0;
+      rates.add(s, tainted ? sink : e.col, e.value);
     }
-    const Ctmc frozen(rates.build());
-    std::vector<double> initial = model.initial_distribution();
-    initial.push_back(0.0);
-    std::vector<double> pi = transient_distribution(frozen, initial, t);
-    pi.pop_back();  // the sink collects the mass that broke the bound
-    for (std::size_t s = 0; s < n; ++s)
-      if (model.reward(s) > 0.0) pi[s] = 0.0;
-    out.per_state = std::move(pi);
-    out.steps = 0;
-    return true;
   }
-
-  return false;
+  const Ctmc frozen(rates.build());
+  std::vector<double> initial = model.initial_distribution();
+  initial.push_back(0.0);
+  std::vector<double> pi = transient_distribution(frozen, initial, t);
+  pi.pop_back();  // the sink collects the mass that broke the bound
+  for (std::size_t s = 0; s < n; ++s)
+    if (model.reward(s) > 0.0) pi[s] = 0.0;
+  out.per_state = std::move(pi);
+  out.steps = 0;
+  return true;
 }
 
 bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,

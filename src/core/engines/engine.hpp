@@ -104,6 +104,11 @@ class JointDistributionEngine {
 bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
                                      JointDistribution& out);
 
+/// Whether joint_distribution_trivial_case takes (t, r) on `model`.  The
+/// answer depends on t, r, the rewards and the impulses, never on the
+/// initial distribution.  Throws on invalid bounds, as that call does.
+bool joint_distribution_is_trivial(const Mrm& model, double t, double r);
+
 /// The same trivial cases in the all-start-states shape: fills out[s] with
 /// Pr_s{Y_t <= r, X_t in target} when t, r make the problem degenerate.
 bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,

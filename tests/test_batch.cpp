@@ -11,6 +11,7 @@
 // sharing across checkers, fingerprint scoping across models).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -26,8 +27,10 @@
 #include "core/engines/sericola_engine.hpp"
 #include "logic/parser.hpp"
 #include "models/adhoc.hpp"
+#include "models/synthetic.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace csrl {
 namespace {
@@ -178,6 +181,183 @@ TEST(BatchGridDiscretisation, AllStartsLatticeBitwiseEqualsPointLoop) {
       engine, model, times, rewards, q3_success_target());
   EXPECT_TRUE(bitwise_equal(batched, looped));
 }
+
+// The all-starts lattice shapes below are each diffed against the point
+// loop at lane-group widths 1 and 8 and at 1 and 4 threads.
+void expect_all_starts_lattice_equals_point_loop(
+    const Mrm& model, double d, const std::vector<double>& times,
+    const std::vector<double>& rewards, const StateSet& target) {
+  const DiscretisationEngine oracle(d, std::make_shared<ThreadPool>(1), 1);
+  const std::vector<std::vector<double>> looped =
+      joint_grid_reference(oracle, model, times, rewards, target);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t block : {std::size_t{1}, std::size_t{8}}) {
+      const DiscretisationEngine engine(
+          d, std::make_shared<ThreadPool>(threads), block);
+      EXPECT_TRUE(bitwise_equal(
+          engine.joint_probability_all_starts_grid(model, times, rewards,
+                                                   target),
+          looped))
+          << threads << " threads, rhs_block " << block;
+    }
+  }
+}
+
+StateSet every_third_state(std::size_t n) {
+  StateSet target(n);
+  for (std::size_t s = 1; s < n; s += 3) target.insert(s);
+  return target;
+}
+
+// 13 states: 0..8 form a branching chain, 9 and 10 are absorbing, 11 and 12
+// have outgoing transitions but nothing enters them.  Rewards mix 0, 1, 2.
+Mrm absorbing_and_unreachable_mrm() {
+  CsrBuilder b(13, 13);
+  for (std::size_t s = 0; s < 8; ++s) b.add(s, s + 1, 1.0 + 0.5 * s);
+  b.add(2, 9, 0.75);
+  b.add(5, 10, 1.25);
+  b.add(8, 0, 2.0);
+  b.add(11, 4, 3.0);
+  b.add(12, 11, 0.5);
+  b.add(12, 10, 1.5);
+  return Mrm(Ctmc(b.build()), {0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 0, 2, 1},
+             Labelling(13), 0);
+}
+
+TEST(BatchGridDiscretisation, AllStartsOneStepLatticeEqualsPointLoop) {
+  // t = d: the lattice's only step is the seed itself, no sweep runs.
+  const Mrm model = random_mrm(11, 40, 0.1);
+  const double d = 1.0 / 32.0;
+  expect_all_starts_lattice_equals_point_loop(
+      model, d, {d}, {d, 2.0 * d}, every_third_state(model.num_states()));
+}
+
+TEST(BatchGridDiscretisation, AllStartsMixedLiveAndTrivialCellsEqualPointLoop) {
+  const Mrm model = random_mrm(12, 24, 0.1);
+  ASSERT_EQ(model.max_reward(), 3.0);
+  // t = 0, r = 0 and r >= max_reward * t (2.0 everywhere, 0.75 at
+  // t = 0.25) take the trivial route; the rest are live cells.
+  expect_all_starts_lattice_equals_point_loop(
+      model, 1.0 / 32.0, {0.0, 0.25, 0.5}, {0.0, 0.25, 0.75, 2.0},
+      every_third_state(model.num_states()));
+}
+
+TEST(BatchGridDiscretisation, AllStartsShortLastGroupEqualsPointLoop) {
+  // 203 = 25 * 8 + 3 start states: the last lane group is short, and the
+  // 8-lane sweep splits the rows over several chunks.
+  const Mrm model = random_mrm(13, 203, 0.01);
+  expect_all_starts_lattice_equals_point_loop(
+      model, 1.0 / 32.0, {0.25, 0.5}, {0.25, 0.5},
+      every_third_state(model.num_states()));
+}
+
+TEST(BatchGridDiscretisation, AllStartsAbsorbingAndUnreachableEqualPointLoop) {
+  const Mrm model = absorbing_and_unreachable_mrm();
+  StateSet target(model.num_states());
+  for (std::size_t s : {3, 9, 10, 11}) target.insert(s);
+  expect_all_starts_lattice_equals_point_loop(
+      model, 1.0 / 16.0, {0.5, 1.5}, {0.25, 1.0, 2.0}, target);
+}
+
+TEST(BatchGridDiscretisation, AllStartsImpulseRewardsEqualPointLoop) {
+  const Mrm plain = random_mrm(14, 30, 0.1);
+  const double d = 1.0 / 32.0;
+  // Impulses of 2d and 3d on alternate transitions; with impulses no
+  // reward bound is trivially loose, so every r > 0 cell is live.
+  CsrBuilder impulses(plain.num_states(), plain.num_states());
+  std::size_t e = 0;
+  for (std::size_t s = 0; s < plain.num_states(); ++s)
+    for (const auto& entry : plain.rates().row(s))
+      if (e++ % 2 == 0)
+        impulses.add(s, entry.col, (e % 4 == 1 ? 2.0 : 3.0) * d);
+  const Mrm model = plain.with_impulses(impulses.build());
+  ASSERT_TRUE(model.has_impulse_rewards());
+  expect_all_starts_lattice_equals_point_loop(
+      model, d, {d, 0.25, 0.5}, {0.0, 0.25, 2.0},
+      every_third_state(model.num_states()));
+}
+
+TEST(BatchGridDiscretisation, SpreadInitialDistributionEqualsPointLoop) {
+  const Mrm base = random_mrm(15, 30, 0.1);
+  std::vector<double> initial(base.num_states(), 0.0);
+  initial[0] = 0.5;
+  initial[7] = 0.25;
+  initial[29] = 0.25;
+  const Mrm model(Ctmc(base.rates()), base.rewards(), base.labelling(),
+                  initial);
+  const double d = 1.0 / 32.0;
+  const std::vector<double> times{d, 0.25, 0.5};
+  const std::vector<double> rewards{0.0, 0.25, 0.5, 2.0};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const DiscretisationEngine engine(d, std::make_shared<ThreadPool>(threads));
+    const std::vector<JointDistribution> batched =
+        engine.joint_distribution_grid(model, times, rewards);
+    const std::vector<JointDistribution> looped =
+        joint_distribution_grid_reference(engine, model, times, rewards);
+    ASSERT_EQ(batched.size(), looped.size());
+    for (std::size_t g = 0; g < batched.size(); ++g) {
+      EXPECT_EQ(batched[g].steps, looped[g].steps) << "lattice point " << g;
+      ASSERT_EQ(batched[g].per_state.size(), looped[g].per_state.size());
+      EXPECT_EQ(std::memcmp(batched[g].per_state.data(),
+                            looped[g].per_state.data(),
+                            batched[g].per_state.size() * sizeof(double)),
+                0)
+          << threads << " threads, lattice point " << g;
+    }
+  }
+}
+
+#ifndef CSRL_OBS_DISABLED
+obs::MetricsSnapshot all_starts_counters(const DiscretisationEngine& engine,
+                                         const Mrm& model,
+                                         const std::vector<double>& times,
+                                         const std::vector<double>& rewards) {
+  const obs::ScopedRecording rec(true);
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  (void)engine.joint_probability_all_starts_grid(
+      model, times, rewards, every_third_state(model.num_states()));
+  return obs::metrics_delta(before, obs::snapshot_metrics());
+}
+
+TEST(BatchGridDiscretisation, RowsSweptCountsReachableRowsOnly) {
+  const Mrm model = absorbing_and_unreachable_mrm();
+  const std::size_t n = model.num_states();
+  const double d = 1.0 / 16.0;
+  const std::size_t lanes = 4;
+  const DiscretisationEngine engine(d, std::make_shared<ThreadPool>(1), lanes);
+
+  // t = d: the seed is the whole lattice, nothing is swept.
+  const obs::MetricsSnapshot one_step =
+      all_starts_counters(engine, model, {d}, {d});
+  EXPECT_EQ(one_step.counter("p3/discretisation/sweeps"), 0u);
+  EXPECT_EQ(one_step.counter("p3/discretisation/rows_swept"), 0u);
+
+  // t = 5d: each lane group sweeps j = 1..4 over the rows reachable from
+  // its start states in at most j steps.
+  const std::size_t steps = 5;
+  std::uint64_t expected_rows = 0;
+  std::size_t groups = 0;
+  for (std::size_t s0 = 0; s0 < n; s0 += lanes, ++groups) {
+    std::vector<bool> reached(n, false);
+    for (std::size_t s = s0; s < std::min(n, s0 + lanes); ++s)
+      reached[s] = true;
+    for (std::size_t j = 1; j < steps; ++j) {
+      std::vector<bool> grown = reached;
+      for (std::size_t s = 0; s < n; ++s)
+        if (reached[s])
+          for (const auto& e : model.rates().row(s)) grown[e.col] = true;
+      reached = grown;
+      expected_rows += static_cast<std::uint64_t>(
+          std::count(reached.begin(), reached.end(), true));
+    }
+  }
+  const obs::MetricsSnapshot swept = all_starts_counters(
+      engine, model, {static_cast<double>(steps) * d}, {0.5});
+  EXPECT_EQ(swept.counter("p3/discretisation/sweeps"), groups * (steps - 1));
+  EXPECT_EQ(swept.counter("p3/discretisation/rows_swept"), expected_rows);
+  EXPECT_LT(expected_rows, groups * (steps - 1) * n);
+}
+#endif
 
 TEST(BatchCheckerApi, UntilGridMatchesPointwiseFormulaEvaluation) {
   const Mrm m = build_adhoc_mrm();

@@ -9,6 +9,7 @@
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "logic/parser.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -141,6 +142,24 @@ TEST(IntervalUntil, UnboundedUpperBoundsRejected) {
   EXPECT_THROW((void)engine.interval_until(m, wait, goal, Interval::unbounded(),
                                            Interval::upto(1.0)),
                ModelError);
+}
+
+TEST(IntervalUntil, MisalignedImpulseThrowsBeforeAnySweep) {
+  CsrBuilder imp(2, 2);
+  imp.add(0, 1, 0.3);  // 0.3 / (1/64) = 19.2 cells: off the grid
+  const Mrm m = window_model(1.0).with_impulses(imp.build());
+  const DiscretisationEngine engine(1.0 / 64);
+  StateSet wait(2), goal(2);
+  wait.insert(0);
+  goal.insert(1);
+  const obs::ScopedRecording rec(true);
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  EXPECT_THROW((void)engine.interval_until(m, wait, goal, Interval::upto(1.0),
+                                           Interval::upto(3.0)),
+               ModelError);
+  EXPECT_EQ(obs::metrics_delta(before, obs::snapshot_metrics())
+                .counter("p3/discretisation/sweeps"),
+            0u);
 }
 
 TEST(IntervalUntil, ImmediateSatisfactionAtTimeZero) {
