@@ -8,102 +8,54 @@
 // by running the vector pass per basis vector — i.e. it *is* the
 // matrix-cost variant — so timing both quantifies what the reformulation
 // buys at different model sizes.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/engines/sericola_engine.hpp"
 #include "models/synthetic.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
-namespace {
-
-using namespace csrl;
-
-Mrm scaled_model(std::size_t states) {
-  return birth_death_mrm(states, 2.0, 3.0);
-}
-
-void print_comparison() {
-  std::printf("=== Ablation: Sericola vector pass vs matrix-cost pass ===\n");
-  std::printf("birth-death chains, t=4, r=0.4*max_reward*t, eps=1e-8\n");
-  std::printf("%7s  %12s  %12s  %8s\n", "states", "vector", "matrix-cost",
-              "speedup");
+int main() {
+  using namespace csrl;
+  csrl_bench::BenchObs obs("ablation_sericola");
+  struct Row {
+    std::size_t n;
+    double vector_ms;
+    double matrix_ms;
+    double diff;
+  };
+  std::vector<Row> rows;
   for (std::size_t n : {4u, 8u, 16u, 32u}) {
-    const Mrm model = scaled_model(n);
+    const Mrm model = birth_death_mrm(n, 2.0, 3.0);
     const double t = 4.0;
     const double r = 0.4 * model.max_reward() * t;
     StateSet target(n);
     target.insert(n - 1);
     const SericolaEngine engine(1e-8);
 
-    WallTimer vector_timer;
-    const auto by_vector =
-        engine.joint_probability_all_starts(model, t, r, target);
-    const double vector_seconds = vector_timer.seconds();
-
-    WallTimer matrix_timer;
-    const auto by_matrix = engine.joint_distribution(model, t, r);
-    const double matrix_seconds = matrix_timer.seconds();
-
-    std::printf("%7zu  %9.2f ms  %9.2f ms  %7.1fx   |diff| = %.2e\n", n,
-                vector_seconds * 1e3, matrix_seconds * 1e3,
-                matrix_seconds / vector_seconds,
-                std::abs(by_matrix.per_state[n - 1] - by_vector[0]));
-  }
-  std::printf("\n");
-}
-
-void BM_SericolaVector(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Mrm model = scaled_model(n);
-  const double t = 4.0;
-  const double r = 0.4 * model.max_reward() * t;
-  StateSet target(n);
-  target.insert(n - 1);
-  const SericolaEngine engine(1e-8);
-  for (auto _ : state) {
-    auto result = engine.joint_probability_all_starts(model, t, r, target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_SericolaVector)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-void BM_SericolaMatrixCost(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Mrm model = scaled_model(n);
-  const double t = 4.0;
-  const double r = 0.4 * model.max_reward() * t;
-  const SericolaEngine engine(1e-8);
-  for (auto _ : state) {
-    auto result = engine.joint_distribution(model, t, r);
-    benchmark::DoNotOptimize(result.per_state.data());
-  }
-}
-BENCHMARK(BM_SericolaMatrixCost)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("ablation_sericola");
-  print_comparison();
-  {
-    const Mrm model = scaled_model(32);
-    const double t = 4.0;
-    const double r = 0.4 * model.max_reward() * t;
-    StateSet target(32);
-    target.insert(31);
-    const SericolaEngine engine(1e-8);
-    obs_guard.timed_reps("sericola_vector_n32", [&] {
-      return engine.joint_probability_all_starts(model, t, r, target)[0];
+    const std::string size = std::to_string(n);
+    const auto by_vector = obs.timed_reps("sericola_vector_n" + size, [&] {
+      return engine.joint_probability_all_starts(model, t, r, target);
     });
+    const double vector_ms = obs.reps().back().median_ms;
+    const auto by_matrix = obs.timed_reps("sericola_matrix_cost_n" + size, [&] {
+      return engine.joint_distribution(model, t, r);
+    });
+    rows.push_back({n, vector_ms, obs.reps().back().median_ms,
+                    std::abs(by_matrix.per_state[n - 1] - by_vector[0])});
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+
+  std::printf("=== Ablation: Sericola vector pass vs matrix-cost pass ===\n");
+  std::printf("birth-death chains, t=4, r=0.4*max_reward*t, eps=1e-8\n");
+  std::printf("%7s  %12s  %12s  %8s\n", "states", "vector", "matrix-cost",
+              "speedup");
+  for (const Row& row : rows)
+    std::printf("%7zu  %9.2f ms  %9.2f ms  %7.1fx   |diff| = %.2e\n", row.n,
+                row.vector_ms, row.matrix_ms, row.matrix_ms / row.vector_ms,
+                row.diff);
+  std::printf("\n");
   return 0;
 }

@@ -2,16 +2,15 @@
 // systems (unbounded until, property class P0) — Jacobi vs Gauss-Seidel vs
 // SOR — and the effect of the Fox-Glynn-style Poisson window vs a naive
 // fixed-length series on transient analysis.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/checker.hpp"
 #include "ctmc/foxglynn.hpp"
 #include "ctmc/uniformisation.hpp"
 #include "logic/parser.hpp"
 #include "models/synthetic.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
@@ -19,110 +18,113 @@ namespace {
 
 using namespace csrl;
 
-Mrm workload(std::size_t states) {
+Mrm workload(std::size_t side) {
   // Tandem queue: the forward bias makes Gauss-Seidel ordering matter.
-  const std::size_t side = states;
   return tandem_queue_mrm(side, side, 1.0, 1.5, 1.2);
 }
 
-void print_comparison() {
-  std::printf("=== Ablation: linear solvers for unbounded until (P0) ===\n");
+void run_solvers(csrl_bench::BenchObs& obs) {
   const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
-  std::printf("%9s  %10s  %12s  %10s\n", "states", "jacobi", "gauss-seidel",
-              "sor(1.2)");
+  struct Method {
+    LinearMethod method;
+    const char* label;
+  };
+  const Method methods[] = {{LinearMethod::kJacobi, "jacobi"},
+                            {LinearMethod::kGaussSeidel, "gauss_seidel"},
+                            {LinearMethod::kSor, "sor"}};
+  struct Row {
+    std::size_t states;
+    std::vector<double> ms;
+  };
+  std::vector<Row> rows;
   for (std::size_t side : {8u, 16u, 32u, 48u}) {
     const Mrm model = workload(side);
-    std::printf("%9zu", model.num_states());
-    for (LinearMethod method : {LinearMethod::kJacobi, LinearMethod::kGaussSeidel,
-                                LinearMethod::kSor}) {
+    Row row{model.num_states(), {}};
+    for (const Method& m : methods) {
       CheckOptions options;
-      options.solver.method = method;
+      options.solver.method = m.method;
       options.solver.omega = 1.2;
       const Checker checker(model, options);
-      WallTimer timer;
-      const double value = checker.value_initially(*formula);
-      benchmark::DoNotOptimize(value);
-      std::printf("  %7.2f ms", timer.seconds() * 1e3);
+      obs.timed_reps("p0_" + std::string(m.label) + "_side" +
+                         std::to_string(side),
+                     [&] { return checker.value_initially(*formula); });
+      row.ms.push_back(obs.reps().back().median_ms);
     }
+    rows.push_back(std::move(row));
+  }
+
+  std::printf("=== Ablation: linear solvers for unbounded until (P0) ===\n");
+  std::printf("%9s  %10s  %12s  %10s\n", "states", "jacobi", "gauss-seidel",
+              "sor(1.2)");
+  for (const Row& row : rows) {
+    std::printf("%9zu", row.states);
+    for (double ms : row.ms) std::printf("  %7.2f ms", ms);
     std::printf("\n");
   }
   std::printf("\n");
 }
 
-void solve_with(benchmark::State& state, LinearMethod method, double omega) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const Mrm model = workload(side);
-  CheckOptions options;
-  options.solver.method = method;
-  options.solver.omega = omega;
-  const Checker checker(model, options);
-  const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
-  double value = 0.0;
-  for (auto _ : state) {
-    value = checker.value_initially(*formula);
-    benchmark::DoNotOptimize(value);
+void run_poisson_windows(csrl_bench::BenchObs& obs) {
+  // Poisson-window ablation: the adaptive Fox-Glynn window vs the terms
+  // a series always starting at n = 0 would sum (right + 1).
+  struct Row {
+    double lt;
+    std::size_t window;
+    std::size_t from_zero;
+    double ms;
+  };
+  std::vector<Row> rows;
+  for (int lt : {100, 1000, 10000}) {
+    const PoissonWeights w =
+        obs.timed_reps("poisson_window_lt" + std::to_string(lt),
+                       [lt] { return poisson_weights(lt, 1e-10); });
+    rows.push_back({static_cast<double>(lt), w.right - w.left + 1,
+                    w.right + 1, obs.reps().back().median_ms});
   }
-  state.counters["probability"] = value;
+  std::printf("=== Ablation: adaptive Poisson window (eps 1e-10) ===\n");
+  std::printf("%9s  %8s  %9s  %10s\n", "lambda*t", "window", "from n=0",
+              "time");
+  for (const Row& row : rows)
+    std::printf("%9.0f  %8zu  %9zu  %7.4f ms\n", row.lt, row.window,
+                row.from_zero, row.ms);
+  std::printf("\n");
 }
 
-void BM_P0_Jacobi(benchmark::State& state) {
-  solve_with(state, LinearMethod::kJacobi, 1.0);
-}
-void BM_P0_GaussSeidel(benchmark::State& state) {
-  solve_with(state, LinearMethod::kGaussSeidel, 1.0);
-}
-void BM_P0_Sor(benchmark::State& state) {
-  solve_with(state, LinearMethod::kSor, 1.2);
-}
-BENCHMARK(BM_P0_Jacobi)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_P0_GaussSeidel)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_P0_Sor)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-
-// Poisson-window ablation: the adaptive window vs always starting at n=0.
-void BM_PoissonWindowAdaptive(benchmark::State& state) {
-  const double lt = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const PoissonWeights w = poisson_weights(lt, 1e-10);
-    benchmark::DoNotOptimize(w.total);
-    state.counters["window"] = static_cast<double>(w.right - w.left + 1);
-  }
-}
-BENCHMARK(BM_PoissonWindowAdaptive)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_TransientLargeHorizon(benchmark::State& state) {
+void run_steady_state_detection(csrl_bench::BenchObs& obs) {
   // Steady-state detection makes long horizons cheap; toggling it off
   // shows the cost of the full series.
   const Mrm model = workload(16);
-  TransientOptions options;
-  options.steady_state_detection = state.range(0) != 0;
   StateSet target(model.num_states());
   target.insert(0);
-  double value = 0.0;
-  for (auto _ : state) {
-    value = transient_reach(model.chain(), target, 500.0, options)[0];
-    benchmark::DoNotOptimize(value);
+  struct Row {
+    const char* label;
+    double value;
+    double ms;
+  };
+  std::vector<Row> rows;
+  for (const bool detect : {false, true}) {
+    TransientOptions options;
+    options.steady_state_detection = detect;
+    const char* label = detect ? "on" : "off";
+    const double value = obs.timed_reps(
+        std::string("transient_t500_steady_") + label, [&] {
+          return transient_reach(model.chain(), target, 500.0, options)[0];
+        });
+    rows.push_back({label, value, obs.reps().back().median_ms});
   }
-  state.counters["probability"] = value;
+  std::printf("=== Ablation: steady-state detection, horizon t=500 ===\n");
+  for (const Row& row : rows)
+    std::printf("detection %-3s  p = %.8f  %8.2f ms\n", row.label, row.value,
+                row.ms);
+  std::printf("\n");
 }
-BENCHMARK(BM_TransientLargeHorizon)->Arg(0)->Arg(1)->Unit(
-    benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("ablation_solvers");
-  print_comparison();
-  {
-    const Mrm model = workload(32);
-    const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
-    CheckOptions options;
-    options.solver.method = LinearMethod::kGaussSeidel;
-    const Checker checker(model, options);
-    obs_guard.timed_reps("p0_gauss_seidel_side32", [&] {
-      return checker.value_initially(*formula);
-    });
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  csrl_bench::BenchObs obs("ablation_solvers");
+  run_solvers(obs);
+  run_poisson_windows(obs);
+  run_steady_state_detection(obs);
   return 0;
 }

@@ -2,83 +2,49 @@
 // 9-state ad hoc station model (SRN -> reachability graph -> CSRL checker).
 // Q1 exercises the P2 pipeline (duality), Q2 the P1 pipeline
 // (uniformisation), Q3 the P3 pipeline (Theorem-1 reduction + engine).
-#include <benchmark/benchmark.h>
-
+// The printed time is the median of the query's timed reps.
 #include <cstdio>
 
 #include "core/checker.hpp"
 #include "logic/parser.hpp"
 #include "models/adhoc.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
-namespace {
-
-using namespace csrl;
-
-void print_properties() {
+int main() {
+  using namespace csrl;
+  csrl_bench::BenchObs obs("case_study_properties");
   const Mrm model = build_adhoc_mrm();
-  const Checker checker(model);
-  std::printf("=== Section 5.3: properties Q1-Q3 ===\n");
   struct Row {
     const char* name;
+    const char* label;
     const char* query;
     const char* bounded;
+    double value = 0.0;
+    bool verdict = false;
+    double ms = 0.0;
   };
-  const Row rows[] = {
-      {"Q1 (reward-bounded eventually, P2)", kQueryQ1, kPropertyQ1},
-      {"Q2 (time-bounded eventually, P1)", kQueryQ2, kPropertyQ2},
-      {"Q3 (time+reward until, P3)", kQueryQ3, kPropertyQ3},
+  Row rows[] = {
+      {"Q1 (reward-bounded eventually, P2)", "q1_reward_bounded", kQueryQ1,
+       kPropertyQ1},
+      {"Q2 (time-bounded eventually, P1)", "q2_time_bounded", kQueryQ2,
+       kPropertyQ2},
+      {"Q3 (time+reward until, P3)", "q3_time_reward_until", kQueryQ3,
+       kPropertyQ3},
   };
-  for (const Row& row : rows) {
-    WallTimer timer;
-    const double value = checker.value_initially(*parse_formula(row.query));
-    const bool verdict = checker.holds_initially(*parse_formula(row.bounded));
-    std::printf("%-36s  p = %.8f  %-13s (%.2f ms)\n", row.name, value,
-                verdict ? "-> HOLDS" : "-> VIOLATED", timer.seconds() * 1e3);
-  }
-  std::printf("\n");
-}
-
-void check_property(benchmark::State& state, const char* query) {
-  const Mrm model = build_adhoc_mrm();
-  const Checker checker(model);
-  const FormulaPtr formula = parse_formula(query);
-  double value = 0.0;
-  for (auto _ : state) {
-    value = checker.value_initially(*formula);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-}
-
-void BM_Q1_RewardBounded(benchmark::State& state) {
-  check_property(state, kQueryQ1);
-}
-void BM_Q2_TimeBounded(benchmark::State& state) {
-  check_property(state, kQueryQ2);
-}
-void BM_Q3_TimeRewardBounded(benchmark::State& state) {
-  check_property(state, kQueryQ3);
-}
-BENCHMARK(BM_Q1_RewardBounded)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Q2_TimeBounded)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Q3_TimeRewardBounded)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("case_study_properties");
-  print_properties();
-  {
-    const Mrm model = build_adhoc_mrm();
+  for (Row& row : rows) {
     const Checker checker(model);
-    const FormulaPtr q3 = parse_formula(kQueryQ3);
-    obs_guard.timed_reps("q3_time_reward_until",
-                         [&] { return checker.value_initially(*q3); });
+    const FormulaPtr query = parse_formula(row.query);
+    row.value = obs.timed_reps(row.label,
+                               [&] { return checker.value_initially(*query); });
+    row.ms = obs.reps().back().median_ms;
+    row.verdict = checker.holds_initially(*parse_formula(row.bounded));
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+
+  std::printf("=== Section 5.3: properties Q1-Q3 ===\n");
+  for (const Row& row : rows)
+    std::printf("%-36s  p = %.8f  %-13s (%.2f ms)\n", row.name, row.value,
+                row.verdict ? "-> HOLDS" : "-> VIOLATED", row.ms);
+  std::printf("\n");
   return 0;
 }

@@ -14,8 +14,6 @@
 // the whole surface through joint_probability_all_starts_grid vs the
 // point-by-point loop, with the SpMV counts of both passes and a bitwise
 // equality verdict written to BENCH_fig1_grid.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,17 +39,27 @@ double surface_point(double t, double r) {
                                              success)[reduced.initial_state()];
 }
 
-void print_surface() {
-  std::printf("=== Figure 1: joint distribution of (X_t, Y_t) ===\n");
-  std::printf("Pr{Y_t <= r, X_t = success} on the Q3 reduced model\n\n");
+/// The Figure-1 surface, one timed reps row per (t, r) point.
+void run_surface(csrl_bench::BenchObs& obs) {
   const double times[] = {1.0, 2.0, 4.0, 8.0, 16.0, 24.0};
   const double rewards[] = {100.0, 200.0, 400.0, 600.0, 1200.0, 2400.0};
+  std::vector<double> surface;
+  for (double t : times)
+    for (double r : rewards)
+      surface.push_back(obs.timed_reps(
+          "surface_point_t" + std::to_string(static_cast<int>(t)) + "_r" +
+              std::to_string(static_cast<int>(r)),
+          [t, r] { return surface_point(t, r); }));
+
+  std::printf("=== Figure 1: joint distribution of (X_t, Y_t) ===\n");
+  std::printf("Pr{Y_t <= r, X_t = success} on the Q3 reduced model\n\n");
   std::printf("t \\ r   ");
   for (double r : rewards) std::printf("%9.0f", r);
   std::printf("\n");
-  for (double t : times) {
-    std::printf("%5.0f h ", t);
-    for (double r : rewards) std::printf("%9.5f", surface_point(t, r));
+  for (std::size_t i = 0; i < std::size(times); ++i) {
+    std::printf("%5.0f h ", times[i]);
+    for (std::size_t j = 0; j < std::size(rewards); ++j)
+      std::printf("%9.5f", surface[i * std::size(rewards) + j]);
     std::printf("\n");
   }
   std::printf("\nrows increase with t (more time to reach the goal), "
@@ -163,22 +171,6 @@ int run_grid_mode() {
   return (bitwise && (batched_spmvs == 0 || ratio >= 5.0)) ? 0 : 1;
 }
 
-void BM_JointSurfacePoint(benchmark::State& state) {
-  const double t = static_cast<double>(state.range(0));
-  const double r = static_cast<double>(state.range(1));
-  double value = 0.0;
-  for (auto _ : state) {
-    value = surface_point(t, r);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-}
-BENCHMARK(BM_JointSurfacePoint)
-    ->Args({4, 200})
-    ->Args({24, 600})
-    ->Args({24, 2400})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -186,10 +178,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--grid") == 0) return run_grid_mode();
   }
   csrl_bench::BenchObs obs_guard("fig1_joint_distribution");
-  print_surface();
-  obs_guard.timed_reps("surface_point_t24_r600",
-                       [] { return surface_point(24.0, 600.0); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  run_surface(obs_guard);
   return 0;
 }

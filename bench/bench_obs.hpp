@@ -26,7 +26,6 @@
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace csrl_bench {
@@ -93,16 +92,9 @@ class BenchObs {
     // Kernel configuration of this run, so perf trajectories can be
     // compared like-for-like: the SIMD instruction set the blocked SpMM
     // lane loops were compiled for ("scalar" under CSRL_SIMD=OFF) and
-    // the effective multi-RHS block width (honouring CSRL_RHS_BLOCK;
-    // 0 only if the environment value is invalid).
+    // the effective multi-RHS block width (honouring CSRL_RHS_BLOCK).
     w.key("simd_isa").value(csrl::simd_isa());
-    std::uint64_t rhs_block = 0;
-    try {
-      rhs_block = csrl::resolve_rhs_block(0);
-    } catch (const csrl::Error&) {
-      // An invalid CSRL_RHS_BLOCK should fail the workload itself, not
-      // the obs write-out.
-    }
+    const std::uint64_t rhs_block = csrl::resolve_rhs_block(0);
     w.key("rhs_block").value(rhs_block);
     const std::uint64_t threads = csrl::ThreadPool::global().num_threads();
     w.key("threads").value(threads);

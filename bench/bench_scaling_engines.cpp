@@ -5,113 +5,74 @@
 //     cost grows with N_eps^2 and the number of reward classes;
 //   * the discretisation suffers from large time bounds and state spaces;
 //   * pseudo-Erlang is cheap for small k but its chain is |S|*k states.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "models/synthetic.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
-namespace {
+int main() {
+  using namespace csrl;
+  csrl_bench::BenchObs obs("scaling_engines");
+  // One reps row per (engine, size); each table cell shows the row's
+  // result and its median time.
+  struct Cell {
+    double value;
+    double ms;
+  };
+  struct Row {
+    std::size_t n;
+    Cell cells[3];
+  };
+  std::vector<Row> rows;
+  for (std::size_t n : {4u, 8u, 16u, 32u}) {
+    const Mrm model = birth_death_mrm(n, 2.0, 3.0);
+    const double t = 4.0;
+    const double r = 0.5 * model.max_reward() * t;
+    StateSet target(n);
+    target.insert(n - 1);
+    const SericolaEngine sericola(1e-8);
+    const ErlangEngine erlang(64);
+    const DiscretisationEngine discretisation(1.0 / 64);
 
-using namespace csrl;
+    const std::string size = std::to_string(n);
+    const auto cell = [&](const char* engine, auto&& fn) {
+      const double value = obs.timed_reps(engine + ("_n" + size), fn);
+      return Cell{value, obs.reps().back().median_ms};
+    };
+    rows.push_back(
+        {n,
+         {cell("sericola",
+               [&] {
+                 return sericola.joint_probability_all_starts(model, t, r,
+                                                              target)[0];
+               }),
+          cell("erlang",
+               [&] {
+                 return erlang.joint_probability_all_starts(model, t, r,
+                                                            target)[0];
+               }),
+          cell("discretisation", [&] {
+            return discretisation.joint_distribution(model, t, r)
+                .probability_in(target);
+          })}});
+  }
 
-struct Workload {
-  Mrm model;
-  double t;
-  double r;
-  StateSet target;
-};
-
-Workload workload(std::size_t states) {
-  Mrm model = birth_death_mrm(states, 2.0, 3.0);
-  const double t = 4.0;
-  const double r = 0.5 * model.max_reward() * t;
-  StateSet target(states);
-  target.insert(states - 1);
-  return {std::move(model), t, r, std::move(target)};
-}
-
-void print_comparison() {
   std::printf("=== Scaling: the three engines vs state-space size ===\n");
   std::printf("birth-death chains, t=4, r=0.5*max_reward*t\n");
   std::printf("%7s  %-22s  %-22s  %-22s\n", "states", "sericola(1e-8)",
               "erlang(k=64)", "discretisation(1/64)");
-  for (std::size_t n : {4u, 8u, 16u, 32u}) {
-    const Workload w = workload(n);
-    std::printf("%7zu", n);
-
-    WallTimer sericola_timer;
-    const double ps = SericolaEngine(1e-8).joint_probability_all_starts(
-        w.model, w.t, w.r, w.target)[0];
-    std::printf("  %.6f %8.2f ms", ps, sericola_timer.seconds() * 1e3);
-
-    WallTimer erlang_timer;
-    const double pe = ErlangEngine(64).joint_probability_all_starts(
-        w.model, w.t, w.r, w.target)[0];
-    std::printf("  %.6f %8.2f ms", pe, erlang_timer.seconds() * 1e3);
-
-    WallTimer disc_timer;
-    const double pd = DiscretisationEngine(1.0 / 64)
-                          .joint_distribution(w.model, w.t, w.r)
-                          .probability_in(w.target);
-    std::printf("  %.6f %8.2f ms\n", pd, disc_timer.seconds() * 1e3);
+  for (const Row& row : rows) {
+    std::printf("%7zu", row.n);
+    for (const Cell& c : row.cells)
+      std::printf("  %.6f %8.2f ms", c.value, c.ms);
+    std::printf("\n");
   }
   std::printf("\n");
-}
-
-void BM_ScalingSericola(benchmark::State& state) {
-  const Workload w = workload(static_cast<std::size_t>(state.range(0)));
-  const SericolaEngine engine(1e-8);
-  for (auto _ : state) {
-    auto result = engine.joint_probability_all_starts(w.model, w.t, w.r, w.target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_ScalingSericola)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-void BM_ScalingErlang(benchmark::State& state) {
-  const Workload w = workload(static_cast<std::size_t>(state.range(0)));
-  const ErlangEngine engine(64);
-  for (auto _ : state) {
-    auto result = engine.joint_probability_all_starts(w.model, w.t, w.r, w.target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_ScalingErlang)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-void BM_ScalingDiscretisation(benchmark::State& state) {
-  const Workload w = workload(static_cast<std::size_t>(state.range(0)));
-  const DiscretisationEngine engine(1.0 / 64);
-  for (auto _ : state) {
-    auto result = engine.joint_distribution(w.model, w.t, w.r);
-    benchmark::DoNotOptimize(result.per_state.data());
-  }
-}
-BENCHMARK(BM_ScalingDiscretisation)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("scaling_engines");
-  print_comparison();
-  {
-    const Workload w = workload(32);
-    const SericolaEngine engine(1e-8);
-    obs_guard.timed_reps("sericola_n32", [&] {
-      return engine.joint_probability_all_starts(w.model, w.t, w.r,
-                                                 w.target)[0];
-    });
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

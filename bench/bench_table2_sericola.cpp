@@ -1,7 +1,8 @@
 // Table 2 of the paper: the occupation-time-distribution algorithm
 // (Sericola) on the Q3 reduced model, sweeping the a-priori error bound
 // epsilon from 1e-1 to 1e-8.  Reported per row: the truncation depth
-// N_eps, the computed path probability, and the wall-clock time.
+// N_eps, the computed path probability, and the wall-clock time (median
+// of the row's timed reps).
 //
 // Paper reference rows (Pentium III, 1 GHz):
 //   eps    N    value        time
@@ -11,15 +12,13 @@
 // Shape expectations: N grows logarithmically-slowly in 1/eps, the value
 // converges monotonically from below, time grows mildly with N.  Absolute
 // values sit ~0.3% above the paper's (see EXPERIMENTS.md).
-#include <benchmark/benchmark.h>
-
-#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/engines/sericola_engine.hpp"
 #include "models/adhoc.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
@@ -27,33 +26,51 @@ namespace {
 
 using namespace csrl;
 
-double run_once(double epsilon, std::size_t* steps_out = nullptr) {
+struct Point {
+  double value = 0.0;
+  std::size_t steps = 0;
+};
+
+Point run_once(double epsilon) {
   const Mrm reduced = build_q3_reduced_mrm();
   const SericolaEngine engine(epsilon);
   StateSet success(reduced.num_states());
   success.insert(3);
-  if (steps_out) *steps_out = engine.truncation_depth(reduced, kTimeBoundHours);
-  return engine.joint_probability_all_starts(
+  Point point;
+  point.steps = engine.truncation_depth(reduced, kTimeBoundHours);
+  point.value = engine.joint_probability_all_starts(
       reduced, kTimeBoundHours, kRewardBoundMah, success)[reduced.initial_state()];
+  return point;
 }
 
-void print_table() {
+void run_table(csrl_bench::BenchObs& obs) {
+  struct Row {
+    double eps;
+    Point point;
+    double ms;
+  };
+  const double epsilons[] = {1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8};
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < std::size(epsilons); ++i) {
+    const double eps = epsilons[i];
+    const Point point =
+        obs.timed_reps("sericola_q3_eps1e-" + std::to_string(i + 1),
+                       [eps] { return run_once(eps); });
+    rows.push_back({eps, point, obs.reps().back().median_ms});
+  }
+
   std::printf("=== Table 2: occupation time distributions (Sericola) ===\n");
   std::printf("Q3 on the reduced 5-state MRM, t=%.0f h, r=%.0f mAh\n",
               kTimeBoundHours, kRewardBoundMah);
   std::printf("%-8s %6s  %-14s %10s\n", "eps", "N", "value", "time");
-  for (double eps : {1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8}) {
-    std::size_t steps = 0;
-    WallTimer timer;
-    const double value = run_once(eps, &steps);
-    std::printf("%-8.0e %6zu  %.8f %9.2f ms\n", eps, steps, value,
-                timer.seconds() * 1e3);
-  }
+  for (const Row& row : rows)
+    std::printf("%-8.0e %6zu  %.8f %9.2f ms\n", row.eps, row.point.steps,
+                row.point.value, row.ms);
   std::printf("paper's converged value: %.8f (see EXPERIMENTS.md)\n\n",
               kPaperQ3Reference);
 }
 
-void print_grid_comparison() {
+void run_grid_comparison(csrl_bench::BenchObs& obs) {
   // The batched-lattice path (core/batch.hpp): the Table-2 property swept
   // over a bound lattice in one occupation-time pass, against the
   // point-by-point loop it replaces.
@@ -64,19 +81,21 @@ void print_grid_comparison() {
   const std::vector<double> times{4.0, 8.0, 16.0, kTimeBoundHours};
   const std::vector<double> rewards{150.0, 300.0, 450.0, kRewardBoundMah};
 
-  WallTimer timer;
-  const auto batched = engine.joint_probability_all_starts_grid(
-      reduced, times, rewards, success);
-  const double batched_ms = timer.seconds() * 1e3;
-  timer.reset();
-  const auto looped =
-      joint_grid_reference(engine, reduced, times, rewards, success);
-  const double looped_ms = timer.seconds() * 1e3;
+  const auto batched = obs.timed_reps("sericola_grid_4x4_batched", [&] {
+    return engine.joint_probability_all_starts_grid(reduced, times, rewards,
+                                                    success);
+  });
+  const double batched_ms = obs.reps().back().median_ms;
+  const auto looped = obs.timed_reps("sericola_grid_4x4_looped", [&] {
+    return joint_grid_reference(engine, reduced, times, rewards, success);
+  });
+  const double looped_ms = obs.reps().back().median_ms;
 
-  bool bitwise = true;
-  for (std::size_t g = 0; g < batched.size(); ++g)
-    for (std::size_t s = 0; s < batched[g].size(); ++s)
-      bitwise = bitwise && batched[g][s] == looped[g][s];
+  bool bitwise = batched.size() == looped.size();
+  for (std::size_t g = 0; bitwise && g < batched.size(); ++g)
+    bitwise = batched[g].size() == looped[g].size() &&
+              std::memcmp(batched[g].data(), looped[g].data(),
+                          batched[g].size() * sizeof(double)) == 0;
   std::printf("batched %zux%zu lattice: %.2f ms vs %.2f ms point-by-point "
               "(%.1fx), bitwise identical: %s\n\n",
               times.size(), rewards.size(), batched_ms, looped_ms,
@@ -84,28 +103,11 @@ void print_grid_comparison() {
               bitwise ? "yes" : "NO");
 }
 
-void BM_SericolaQ3(benchmark::State& state) {
-  const double epsilon = std::pow(10.0, -static_cast<double>(state.range(0)));
-  double value = 0.0;
-  std::size_t steps = 0;
-  for (auto _ : state) {
-    value = run_once(epsilon, &steps);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-  state.counters["N_eps"] = static_cast<double>(steps);
-}
-BENCHMARK(BM_SericolaQ3)->DenseRange(1, 8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("table2_sericola");
-  print_table();
-  print_grid_comparison();
-  obs_guard.timed_reps("sericola_q3_eps1e-4",
-                       [] { return run_once(1e-4); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  csrl_bench::BenchObs obs("table2_sericola");
+  run_table(obs);
+  run_grid_comparison(obs);
   return 0;
 }

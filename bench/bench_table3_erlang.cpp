@@ -1,7 +1,7 @@
 // Table 3 of the paper: the pseudo-Erlang approximation on the Q3 reduced
 // model, sweeping the number of phases k = 1 ... 1024.  Reported per row:
 // the probability, its relative error against the high-precision Sericola
-// value, and the wall-clock time.
+// value, and the wall-clock time (median of the row's timed reps).
 //
 // Paper reference rows (SPNP v6 on a 1 GHz Pentium III):
 //   k=1    0.41067310  17.10%   < 0.01 s
@@ -11,15 +11,14 @@
 // Shape expectations: the estimate approaches the reference from below
 // with error ~ 1/k; time grows superlinearly in k (the uniformisation
 // rate grows by k*rho_max/r and the chain by a factor k).
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "models/adhoc.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
@@ -45,43 +44,30 @@ double sericola_reference() {
       reduced, kTimeBoundHours, kRewardBoundMah, success)[reduced.initial_state()];
 }
 
-void print_table() {
+}  // namespace
+
+int main() {
+  csrl_bench::BenchObs obs("table3_erlang");
+  struct Row {
+    std::size_t k;
+    double value;
+    double ms;
+  };
+  std::vector<Row> rows;
+  for (std::size_t k = 1; k <= 1024; k *= 2) {
+    const double value = obs.timed_reps("erlang_q3_k" + std::to_string(k),
+                                        [k] { return erlang_once(k); });
+    rows.push_back({k, value, obs.reps().back().median_ms});
+  }
+
   const double reference = sericola_reference();
   std::printf("=== Table 3: pseudo-Erlang approximation ===\n");
   std::printf("Q3 on the reduced 5-state MRM; reference (Sericola 1e-10): "
               "%.8f\n", reference);
   std::printf("%6s  %-14s %-10s %10s\n", "k", "value", "rel.err", "time");
-  for (std::size_t k = 1; k <= 1024; k *= 2) {
-    WallTimer timer;
-    const double value = erlang_once(k);
-    const double seconds = timer.seconds();
-    std::printf("%6zu  %.8f %7.2f%% %9.2f ms\n", k, value,
-                100.0 * std::abs(value - reference) / reference,
-                seconds * 1e3);
-  }
+  for (const Row& row : rows)
+    std::printf("%6zu  %.8f %7.2f%% %9.2f ms\n", row.k, row.value,
+                100.0 * std::abs(row.value - reference) / reference, row.ms);
   std::printf("\n");
-}
-
-void BM_ErlangQ3(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  double value = 0.0;
-  for (auto _ : state) {
-    value = erlang_once(k);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-  state.counters["phases"] = static_cast<double>(k);
-}
-BENCHMARK(BM_ErlangQ3)->RangeMultiplier(4)->Range(1, 1024)->Unit(
-    benchmark::kMillisecond);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("table3_erlang");
-  print_table();
-  obs_guard.timed_reps("erlang_q3_k64", [] { return erlang_once(64); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,7 @@
 // Table 4 of the paper: the Tijms-Veldman discretisation on the Q3
 // reduced model, halving the step size d row by row.  Reported: the
 // probability, the relative error against the high-precision Sericola
-// value, and the wall-clock time.
+// value, and the wall-clock time (median of the row's timed reps).
 //
 // Paper reference rows (1 GHz Pentium III; its d column is garbled in the
 // available scan, but the 4x time growth per row pins consecutive
@@ -12,16 +12,14 @@
 //   0.49543712 <0.01%  1712.00 s
 //
 // Shape expectations: error shrinks linearly in d, time grows ~ 1/d^2.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "models/adhoc.hpp"
-#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
@@ -45,24 +43,32 @@ double sericola_reference() {
       reduced, kTimeBoundHours, kRewardBoundMah, success)[reduced.initial_state()];
 }
 
-void print_table() {
+void run_table(csrl_bench::BenchObs& obs) {
+  struct Row {
+    int denom;
+    double value;
+    double ms;
+  };
+  std::vector<Row> rows;
+  for (int denom : {32, 64, 128, 256}) {
+    const double value =
+        obs.timed_reps("discretisation_q3_d1_" + std::to_string(denom),
+                       [denom] { return discretisation_once(1.0 / denom); });
+    rows.push_back({denom, value, obs.reps().back().median_ms});
+  }
+
   const double reference = sericola_reference();
   std::printf("=== Table 4: Tijms-Veldman discretisation ===\n");
   std::printf("Q3 on the reduced 5-state MRM; reference (Sericola 1e-10): "
               "%.8f\n", reference);
   std::printf("%8s  %-14s %-10s %10s\n", "d", "value", "rel.err", "time");
-  for (int denom : {32, 64, 128, 256}) {
-    WallTimer timer;
-    const double value = discretisation_once(1.0 / denom);
-    const double seconds = timer.seconds();
-    std::printf("   1/%-4d  %.8f %7.3f%% %9.2f ms\n", denom, value,
-                100.0 * std::abs(value - reference) / reference,
-                seconds * 1e3);
-  }
+  for (const Row& row : rows)
+    std::printf("   1/%-4d  %.8f %7.3f%% %9.2f ms\n", row.denom, row.value,
+                100.0 * std::abs(row.value - reference) / reference, row.ms);
   std::printf("\n");
 }
 
-void print_grid_comparison() {
+void run_grid_comparison(csrl_bench::BenchObs& obs) {
   // The batched-lattice path (core/batch.hpp): one F-grid sweep to
   // (t_max, r_max) harvests every smaller Table-4 bound on the way,
   // against the point-by-point loop it replaces.
@@ -72,18 +78,18 @@ void print_grid_comparison() {
   const std::vector<double> times{6.0, 12.0, kTimeBoundHours};
   const std::vector<double> rewards{150.0, 300.0, kRewardBoundMah};
 
-  WallTimer timer;
-  const auto batched = engine.joint_distribution_grid(reduced, times, rewards);
-  const double batched_ms = timer.seconds() * 1e3;
-  timer.reset();
-  const auto looped =
-      joint_distribution_grid_reference(engine, reduced, times, rewards);
-  const double looped_ms = timer.seconds() * 1e3;
+  const auto batched = obs.timed_reps("discretisation_grid_3x3_batched", [&] {
+    return engine.joint_distribution_grid(reduced, times, rewards);
+  });
+  const double batched_ms = obs.reps().back().median_ms;
+  const auto looped = obs.timed_reps("discretisation_grid_3x3_looped", [&] {
+    return joint_distribution_grid_reference(engine, reduced, times, rewards);
+  });
+  const double looped_ms = obs.reps().back().median_ms;
 
-  bool bitwise = true;
-  for (std::size_t g = 0; g < batched.size(); ++g)
-    for (std::size_t s = 0; s < batched[g].per_state.size(); ++s)
-      bitwise = bitwise && batched[g].per_state[s] == looped[g].per_state[s];
+  bool bitwise = batched.size() == looped.size();
+  for (std::size_t g = 0; bitwise && g < batched.size(); ++g)
+    bitwise = batched[g].per_state == looped[g].per_state;
   std::printf("batched %zux%zu lattice at d=1/64: %.2f ms vs %.2f ms "
               "point-by-point (%.1fx), bitwise identical: %s\n\n",
               times.size(), rewards.size(), batched_ms, looped_ms,
@@ -91,28 +97,11 @@ void print_grid_comparison() {
               bitwise ? "yes" : "NO");
 }
 
-void BM_DiscretisationQ3(benchmark::State& state) {
-  const double d = 1.0 / static_cast<double>(state.range(0));
-  double value = 0.0;
-  for (auto _ : state) {
-    value = discretisation_once(d);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-  state.counters["inv_step"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_DiscretisationQ3)->RangeMultiplier(2)->Range(32, 256)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  csrl_bench::BenchObs obs_guard("table4_discretisation");
-  print_table();
-  print_grid_comparison();
-  obs_guard.timed_reps("discretisation_q3_d1_32",
-                       [] { return discretisation_once(1.0 / 32.0); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  csrl_bench::BenchObs obs("table4_discretisation");
+  run_table(obs);
+  run_grid_comparison(obs);
   return 0;
 }

@@ -34,19 +34,6 @@ std::vector<double> JointDistributionEngine::joint_probability_all_starts(
   return result;
 }
 
-std::vector<std::vector<double>>
-JointDistributionEngine::joint_probability_all_starts_grid(
-    const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards, const StateSet& target) const {
-  return joint_grid_reference(*this, model, times, rewards, target);
-}
-
-std::vector<JointDistribution> JointDistributionEngine::joint_distribution_grid(
-    const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards) const {
-  return joint_distribution_grid_reference(*this, model, times, rewards);
-}
-
 std::vector<std::vector<double>> joint_grid_reference(
     const JointDistributionEngine& engine, const Mrm& model,
     std::span<const double> times, std::span<const double> rewards,

@@ -63,19 +63,20 @@ class JointDistributionEngine {
   /// (times[i], rewards[j]) of the bound grid in one call and returns the
   /// vectors grid-point major,
   ///   result[i * rewards.size() + j][s] = Pr_s{Y_{t_i} <= r_j, X_{t_i} in target}.
-  /// The default implementation loops the point call; engines whose
-  /// recursions yield smaller bounds as by-products override it to amortise
-  /// work across the grid, under the contract that every returned vector is
-  /// BITWISE identical to the corresponding point call.
+  /// Every engine amortises work across the grid (its recursion yields the
+  /// smaller bounds as by-products), under the contract that every
+  /// returned vector is BITWISE identical to the corresponding point call
+  /// — joint_grid_reference below is that point loop.
   virtual std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards, const StateSet& target) const;
+      std::span<const double> rewards, const StateSet& target) const = 0;
 
   /// Grid form of joint_distribution over the same (times x rewards)
-  /// lattice, grid-point major; same bitwise contract as above.
+  /// lattice, grid-point major; same bitwise contract as above, against
+  /// joint_distribution_grid_reference.
   virtual std::vector<JointDistribution> joint_distribution_grid(
       const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards) const;
+      std::span<const double> rewards) const = 0;
 
   /// Short human-readable name ("sericola", "erlang-256", ...).
   virtual std::string name() const = 0;
@@ -116,9 +117,9 @@ bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
                                    std::vector<double>& out);
 
 /// Point-by-point grid references: literally loop the single-point entry
-/// points over the lattice, grid-point major.  These are what the virtual
-/// grid methods default to, and what the differential tests and the bench
-/// SpMV comparisons diff the batched overrides against.
+/// points over the lattice, grid-point major.  These are the oracle the
+/// differential tests and the bench SpMV comparisons diff the engines'
+/// grid methods against.
 std::vector<std::vector<double>> joint_grid_reference(
     const JointDistributionEngine& engine, const Mrm& model,
     std::span<const double> times, std::span<const double> rewards,

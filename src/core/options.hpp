@@ -42,7 +42,10 @@ struct CheckOptions {
   /// products and the discretisation engine's multi-start sweeps
   /// (batched transient horizons always interleave): 0 = automatic
   /// (CSRL_RHS_BLOCK, else 8), 1 disables blocking; results are bitwise
-  /// identical at every width.
+  /// identical at every width.  Environment knobs never throw: a
+  /// malformed CSRL_THREADS, CSRL_RHS_BLOCK or CSRL_LUMP value warns on
+  /// stderr and falls back to its default (util/env.hpp); an out-of-range
+  /// value set here throws ModelError when an engine is built.
   TransientOptions transient{};
 
   /// Linear-solver controls for unbounded until (P0) and the steady-state
@@ -55,12 +58,6 @@ struct CheckOptions {
   /// cache.  A SatCache passed to the Checker constructor is shared across
   /// checkers; otherwise each Checker owns a private one.
   bool cache_sat_sets = true;
-
-  /// Route grid queries (Checker::until_grid) through the engines' batched
-  /// lattice entry points.  Off means one single-point engine run per grid
-  /// point — bitwise the same values, only slower; the differential tests
-  /// flip this to diff the two paths.
-  bool batch = true;
 
   /// Runtime numerical contract level (util/contracts.hpp): kOff, kBasic
   /// (cheap structural/row-sum/bounds checks at the places that establish
@@ -104,9 +101,10 @@ struct CheckOptions {
   std::optional<bool> lump{};
 
   /// Number of threads for the parallel kernels and engine sweeps.
-  /// 0 = automatic: the CSRL_THREADS environment variable if set, else
-  /// std::thread::hardware_concurrency().  All checking through one
-  /// Checker — including every nested subformula — shares one pool.
+  /// 0 = automatic: the CSRL_THREADS environment variable if set (an
+  /// integer in [1, 1024]), else std::thread::hardware_concurrency().
+  /// All checking through one Checker — including every nested
+  /// subformula — shares one pool.
   /// Results are bit-identical at any thread count (see DESIGN.md,
   /// "Parallel execution").
   std::size_t num_threads = 0;

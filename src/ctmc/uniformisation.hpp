@@ -62,9 +62,10 @@ struct TransientOptions {
   /// CSRL_RHS_BLOCK environment variable if set, else the bench-chosen
   /// default (kDefaultRhsBlock, currently 8); an explicit value wins
   /// over the environment, exactly the num_threads pattern.  1 disables
-  /// blocking (the one-RHS paths).  Values above kMaxRhsBlock (64) — or
-  /// an environment value of 0 — are rejected when an engine is built.
-  /// Results are bitwise identical at every width.
+  /// blocking (the one-RHS paths).  Values above kMaxRhsBlock (64) are
+  /// rejected when an engine is built; a malformed or out-of-range
+  /// environment value warns on stderr and falls back to the default
+  /// (util/env.hpp).  Results are bitwise identical at every width.
   std::size_t rhs_block = 0;
   /// Optional scratch arena (util/workspace.hpp): series buffers are
   /// leased from it instead of allocated per call, so a warmed arena

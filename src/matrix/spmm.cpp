@@ -13,7 +13,6 @@
 // identical to a separate multiply() on that lane.  SIMD only ever runs
 // the independent lanes side by side (matrix/simd.hpp), never within one
 // lane's sum, so vectorized and scalar builds agree bit for bit too.
-#include <cstdlib>
 #include <string>
 #include <type_traits>
 
@@ -22,6 +21,7 @@
 #include "matrix/simd.hpp"
 #include "matrix/spmm.hpp"
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -87,17 +87,9 @@ inline void charge_spmm_cost([[maybe_unused]] std::uint64_t nnz,
 }  // namespace
 
 std::size_t resolve_rhs_block(std::size_t requested) {
-  if (requested == 0) {
-    const char* env = std::getenv("CSRL_RHS_BLOCK");
-    if (env == nullptr || *env == '\0') return kDefaultRhsBlock;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || parsed == 0 || parsed > kMaxRhsBlock)
-      throw ModelError(
-          "CSRL_RHS_BLOCK must be an integer in [1, " +
-          std::to_string(kMaxRhsBlock) + "], got \"" + env + "\"");
-    return static_cast<std::size_t>(parsed);
-  }
+  if (requested == 0)
+    return static_cast<std::size_t>(
+        env_uint("CSRL_RHS_BLOCK", 1, kMaxRhsBlock, kDefaultRhsBlock));
   if (requested > kMaxRhsBlock)
     throw ModelError("rhs_block must lie in [1, " +
                      std::to_string(kMaxRhsBlock) + "] (0 = automatic)");

@@ -39,8 +39,9 @@ inline constexpr std::size_t kDefaultRhsBlock = 8;
 /// means automatic — the CSRL_RHS_BLOCK environment variable if set,
 /// else kDefaultRhsBlock; an explicit value wins over the environment.
 /// Width 1 disables blocking (every consumer falls back to the one-RHS
-/// path).  Throws ModelError for a requested or environment value of 0
-/// or above kMaxRhsBlock, or an unparseable environment value.
+/// path).  Throws ModelError for a requested value above kMaxRhsBlock; a
+/// malformed or out-of-range environment value warns on stderr and falls
+/// back to kDefaultRhsBlock (util/env.hpp).
 std::size_t resolve_rhs_block(std::size_t requested);
 
 /// Gather `cols.size()` state-indexed columns into the row-major block:

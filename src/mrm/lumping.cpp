@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <span>
 #include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
@@ -121,18 +120,7 @@ bool signatures_equal(const SigEntry* a, const SigEntry* b, std::size_t len) {
 
 bool resolve_lump(std::optional<bool> requested) noexcept {
   if (requested.has_value()) return *requested;
-  const char* env = std::getenv("CSRL_LUMP");
-  if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || parsed > 1) {
-    std::fprintf(stderr,
-                 "csrl: CSRL_LUMP must be 0 or 1, got \"%s\"; lumping stays "
-                 "off\n",
-                 env);
-    return false;
-  }
-  return parsed == 1;
+  return env_uint("CSRL_LUMP", 0, 1, 0) == 1;
 }
 
 LumpingResult lump(const Mrm& model) {

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
 #include "obs/obs.hpp"
 #include "util/annotations.hpp"
+#include "util/env.hpp"
 #include "util/mutex.hpp"
 
 namespace csrl {
@@ -163,14 +163,9 @@ void ThreadPool::parallel_for(
 
 std::size_t ThreadPool::resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("CSRL_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0)
-      return static_cast<std::size_t>(parsed);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return static_cast<std::size_t>(
+      env_uint("CSRL_THREADS", 1, kMaxEnvThreads, hw > 0 ? hw : 1));
 }
 
 namespace {

@@ -90,9 +90,13 @@ class ThreadPool {
   }
 
   /// Resolve a requested thread count: `requested` if non-zero, else the
-  /// CSRL_THREADS environment variable if set and positive, else
-  /// hardware_concurrency() (with a floor of 1).
+  /// CSRL_THREADS environment variable (an integer in [1, kMaxEnvThreads];
+  /// util/env.hpp policy: a malformed value warns and falls through),
+  /// else hardware_concurrency() (with a floor of 1).
   static std::size_t resolve_threads(std::size_t requested);
+
+  /// Largest thread count CSRL_THREADS accepts.
+  static constexpr std::size_t kMaxEnvThreads = 1024;
 
   /// The process-wide shared pool (created lazily).  Shared ownership so a
   /// re-size cannot pull the pool out from under an engine that captured

@@ -416,21 +416,6 @@ TEST(BatchCheckerApi, TrivialLatticePointsAgreeWithPointPath) {
   }
 }
 
-TEST(BatchCheckerApi, BatchFlagOffIsBitwiseIdentical) {
-  const Mrm m = build_adhoc_mrm();
-  BatchQuery query;
-  query.phi = parse_formula("Call_Idle | Doze");
-  query.psi = parse_formula("Call_Initiated");
-  query.times = {6.0, 12.0, 24.0};
-  query.rewards = {300.0, 600.0};
-
-  CheckOptions off;
-  off.batch = false;
-  const BatchResult batched = Checker(m).until_grid(query);
-  const BatchResult looped = Checker(m, off).until_grid(query);
-  EXPECT_TRUE(bitwise_equal(batched.per_state, looped.per_state));
-}
-
 TEST(BatchCheckerApi, UnsatisfiablePsiYieldsAllZeroLattice) {
   const Mrm m = build_adhoc_mrm();
   const Checker checker(m);

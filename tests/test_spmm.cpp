@@ -216,9 +216,12 @@ TEST(ResolveRhsBlock, ExplicitValuesAndEnvironmentOverride) {
   EXPECT_EQ(resolve_rhs_block(0), 4u);
   EXPECT_EQ(resolve_rhs_block(2), 2u) << "explicit width must beat the env";
 
-  for (const char* bad : {"0", "65", "garbage", "8x", "-1"}) {
+  // Malformed or out-of-range environment values warn on stderr and fall
+  // back to the default — never throw (util/env.hpp).
+  for (const char* bad : {"0", "65", "garbage", "8x", "-1", " 4"}) {
     ::setenv("CSRL_RHS_BLOCK", bad, 1);
-    EXPECT_THROW(resolve_rhs_block(0), ModelError) << bad;
+    EXPECT_EQ(resolve_rhs_block(0), kDefaultRhsBlock) << bad;
+    EXPECT_EQ(resolve_rhs_block(3), 3u) << "explicit width must beat " << bad;
   }
   ::setenv("CSRL_RHS_BLOCK", "", 1);
   EXPECT_EQ(resolve_rhs_block(0), kDefaultRhsBlock)

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace csrl {
@@ -119,11 +120,29 @@ TEST(ThreadPool, ResolveThreadsHonoursExplicitRequestAndEnv) {
   EXPECT_EQ(ThreadPool::resolve_threads(0), 5u);
   EXPECT_EQ(ThreadPool::resolve_threads(2), 2u);  // explicit wins
 
-  ::setenv("CSRL_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);  // falls through to hw
-
   ::unsetenv("CSRL_THREADS");
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
+  const std::size_t fallback = ThreadPool::resolve_threads(0);
+  EXPECT_GE(fallback, 1u);
+
+  // Malformed or out-of-range values warn on stderr and fall through to
+  // hardware_concurrency(), exactly as if unset (util/env.hpp).
+  for (const char* bad : {"not-a-number", "banana", "-1", "1x", "0", "",
+                          "1025", "99999999999999999999999"}) {
+    ::setenv("CSRL_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::resolve_threads(0), fallback) << bad;
+    EXPECT_EQ(ThreadPool::resolve_threads(2), 2u) << bad;
+  }
+  // One stderr line names the variable, the accepted range and the value
+  // used instead.
+  ::setenv("CSRL_THREADS", "banana", 1);
+  testing::internal::CaptureStderr();
+  (void)ThreadPool::resolve_threads(0);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "csrl: CSRL_THREADS must be an integer in [1, 1024], got "
+            "\"banana\"; using " + std::to_string(fallback) + "\n");
+  ::setenv("CSRL_THREADS", "1024", 1);
+  EXPECT_EQ(ThreadPool::resolve_threads(0), ThreadPool::kMaxEnvThreads);
+  ::unsetenv("CSRL_THREADS");
 }
 
 TEST(ThreadPool, GlobalPoolResizes) {
