@@ -1,7 +1,12 @@
 // Ablation (DESIGN.md): iterative-solver choice for the embedded linear
 // systems (unbounded until, property class P0) — Jacobi vs Gauss-Seidel vs
 // SOR — and the effect of the Fox-Glynn-style Poisson window vs a naive
-// fixed-length series on transient analysis.
+// fixed-length series, and of steady-state detection, on transient
+// analysis.  Every row must exercise the mechanism it is about: the bench
+// exits 1 when a solver row records no solver iteration or the detection
+// row records no steady-state cutoff (builds with observability compiled
+// out cannot count, and skip the check).
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -11,6 +16,7 @@
 #include "ctmc/uniformisation.hpp"
 #include "logic/parser.hpp"
 #include "models/synthetic.hpp"
+#include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
 
@@ -23,8 +29,34 @@ Mrm workload(std::size_t side) {
   return tandem_queue_mrm(side, side, 1.0, 1.5, 1.2);
 }
 
-void run_solvers(csrl_bench::BenchObs& obs) {
-  const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
+/// How often `counter` ticks during one call of `fn`.
+template <typename Fn>
+std::uint64_t count_during(const char* counter, Fn&& fn) {
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  fn();
+  return obs::metrics_delta(before, obs::snapshot_metrics()).counter(counter);
+}
+
+/// Report a row whose mechanism did not run; returns false for the exit
+/// code.
+bool mechanism_ran(std::uint64_t count, const std::string& row,
+                   const char* counter) {
+#ifdef CSRL_OBS_DISABLED
+  (void)count, (void)row, (void)counter;
+  return true;
+#else
+  if (count > 0) return true;
+  std::fprintf(stderr, "bench_ablation_solvers: row %s recorded %s == 0\n",
+               row.c_str(), counter);
+  return false;
+#endif
+}
+
+bool run_solvers(csrl_bench::BenchObs& obs) {
+  // Draining before stage 2 fills: every state off "empty" and "full2"
+  // is a maybe-state, so graph precomputation leaves the whole system to
+  // the solver.
+  const FormulaPtr formula = parse_formula("P=? [ !full2 U empty ]");
   struct Method {
     LinearMethod method;
     const char* label;
@@ -32,10 +64,15 @@ void run_solvers(csrl_bench::BenchObs& obs) {
   const Method methods[] = {{LinearMethod::kJacobi, "jacobi"},
                             {LinearMethod::kGaussSeidel, "gauss_seidel"},
                             {LinearMethod::kSor, "sor"}};
+  struct Cell {
+    double ms;
+    std::uint64_t iterations;
+  };
   struct Row {
     std::size_t states;
-    std::vector<double> ms;
+    std::vector<Cell> cells;
   };
+  bool ok = true;
   std::vector<Row> rows;
   for (std::size_t side : {8u, 16u, 32u, 48u}) {
     const Mrm model = workload(side);
@@ -45,23 +82,30 @@ void run_solvers(csrl_bench::BenchObs& obs) {
       options.solver.method = m.method;
       options.solver.omega = 1.2;
       const Checker checker(model, options);
-      obs.timed_reps("p0_" + std::string(m.label) + "_side" +
-                         std::to_string(side),
-                     [&] { return checker.value_initially(*formula); });
-      row.ms.push_back(obs.reps().back().median_ms);
+      const std::string label =
+          "p0_" + std::string(m.label) + "_side" + std::to_string(side);
+      obs.timed_reps(label, [&] { return checker.values(*formula); });
+      const std::uint64_t iterations = count_during(
+          "solver/iterations", [&] { (void)checker.values(*formula); });
+      ok = mechanism_ran(iterations, label, "solver/iterations") && ok;
+      row.cells.push_back({obs.reps().back().median_ms, iterations});
     }
     rows.push_back(std::move(row));
   }
 
   std::printf("=== Ablation: linear solvers for unbounded until (P0) ===\n");
-  std::printf("%9s  %10s  %12s  %10s\n", "states", "jacobi", "gauss-seidel",
+  std::printf("P=? [ !full2 U empty ] on the tandem queue; time (iterations)\n");
+  std::printf("%9s  %18s  %18s  %18s\n", "states", "jacobi", "gauss-seidel",
               "sor(1.2)");
   for (const Row& row : rows) {
     std::printf("%9zu", row.states);
-    for (double ms : row.ms) std::printf("  %7.2f ms", ms);
+    for (const Cell& cell : row.cells)
+      std::printf("  %7.2f ms (%6llu)", cell.ms,
+                  static_cast<unsigned long long>(cell.iterations));
     std::printf("\n");
   }
   std::printf("\n");
+  return ok;
 }
 
 void run_poisson_windows(csrl_bench::BenchObs& obs) {
@@ -90,9 +134,11 @@ void run_poisson_windows(csrl_bench::BenchObs& obs) {
   std::printf("\n");
 }
 
-void run_steady_state_detection(csrl_bench::BenchObs& obs) {
+bool run_steady_state_detection(csrl_bench::BenchObs& obs) {
   // Steady-state detection makes long horizons cheap; toggling it off
-  // shows the cost of the full series.
+  // shows the cost of the full series.  At t = 5000 the Fox-Glynn window
+  // runs to ~19,000 steps, and the iterate settles near step 4,100.
+  const double horizon = 5000.0;
   const Mrm model = workload(16);
   StateSet target(model.num_states());
   target.insert(0);
@@ -100,31 +146,43 @@ void run_steady_state_detection(csrl_bench::BenchObs& obs) {
     const char* label;
     double value;
     double ms;
+    std::uint64_t steps;
   };
+  bool ok = true;
   std::vector<Row> rows;
   for (const bool detect : {false, true}) {
     TransientOptions options;
     options.steady_state_detection = detect;
     const char* label = detect ? "on" : "off";
-    const double value = obs.timed_reps(
-        std::string("transient_t500_steady_") + label, [&] {
-          return transient_reach(model.chain(), target, 500.0, options)[0];
-        });
-    rows.push_back({label, value, obs.reps().back().median_ms});
+    const auto run = [&] {
+      return transient_reach(model.chain(), target, horizon, options)[0];
+    };
+    const std::string name = std::string("transient_t5000_steady_") + label;
+    const double value = obs.timed_reps(name, run);
+    const double ms = obs.reps().back().median_ms;
+    const std::uint64_t steps =
+        count_during("uniformisation/steps", [&] { (void)run(); });
+    if (detect)
+      ok = mechanism_ran(count_during("uniformisation/steady_state_cutoffs",
+                                      [&] { (void)run(); }),
+                         name, "uniformisation/steady_state_cutoffs") &&
+           ok;
+    rows.push_back({label, value, ms, steps});
   }
-  std::printf("=== Ablation: steady-state detection, horizon t=500 ===\n");
+  std::printf("=== Ablation: steady-state detection, horizon t=5000 ===\n");
   for (const Row& row : rows)
-    std::printf("detection %-3s  p = %.8f  %8.2f ms\n", row.label, row.value,
-                row.ms);
+    std::printf("detection %-3s  p = %.8f  %8.2f ms  %6llu steps\n", row.label,
+                row.value, row.ms, static_cast<unsigned long long>(row.steps));
   std::printf("\n");
+  return ok;
 }
 
 }  // namespace
 
 int main() {
   csrl_bench::BenchObs obs("ablation_solvers");
-  run_solvers(obs);
+  bool ok = run_solvers(obs);
   run_poisson_windows(obs);
-  run_steady_state_detection(obs);
-  return 0;
+  ok = run_steady_state_detection(obs) && ok;
+  return ok ? 0 : 1;
 }

@@ -128,7 +128,7 @@ OBS_NAME_RE = re.compile(r"^[a-z0-9_]+(/[a-z0-9_]+)*$")
 LOOP_ALLOC_DIRS = {"matrix", "ctmc"}
 LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(")
 VECTOR_DOUBLE_DECL_RE = re.compile(r"\bstd::vector<double>\s+\w+")
-SPMM_BLOCKING_DIRS = {"engines", "ctmc"}
+SPMM_BLOCKING_DIRS = {"engines", "ctmc", "core"}
 ONE_RHS_PRODUCT_RE = re.compile(r"\.\s*multiply(?:_left)?(?:_fused)?\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;{=(]"

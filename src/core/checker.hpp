@@ -141,6 +141,9 @@ class Checker {
   std::vector<double> reward_values_internal(const Formula& f) const;
   std::vector<double> steady_probabilities_internal(
       const StateSet& phi_states) const;
+  // The one BSCC pass behind S and R[S] (steady.cpp): for every start
+  // state, the long-run average of the per-state `values`.
+  std::vector<double> long_run_average(std::span<const double> values) const;
   BatchResult until_grid_internal(const BatchQuery& query) const;
 
   // Boundary translation through to_internal_; all three are the

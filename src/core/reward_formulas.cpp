@@ -1,12 +1,10 @@
 // The expected-reward operator R (an implemented extension; the measures
 // follow the conventions later probabilistic model checkers established).
 #include <limits>
-#include <unordered_map>
 
 #include "core/checker.hpp"
 #include "core/reward_ops.hpp"
 #include "ctmc/graph.hpp"
-#include "ctmc/stationary.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
@@ -27,44 +25,26 @@ std::vector<double> reachability_reward(const Mrm& model,
   std::vector<double> result(n, 0.0);
   if (target.count() == n) return result;
 
-  // Qualitative analysis of F target.
-  const StateSet not_target = target.complement();
-  const StateSet can_reach =
-      backward_reachable(model.rates(), target, not_target);
-  const StateSet never = can_reach.complement();
-  const StateSet not_sure =
-      backward_reachable(model.rates(), never, not_target);
-  const StateSet sure = not_sure.complement();
-
-  for (std::size_t s : not_sure.members()) result[s] = kInf;
+  // Qualitative analysis of F target: the prob-1 states of true U target.
+  const StateSet sure =
+      qualitative_until(model.rates(), StateSet(n, /*filled=*/true), target)
+          .one;
+  for (std::size_t s : sure.complement().members()) result[s] = kInf;
 
   // Solve on the sure-but-not-yet-there states.  Prob-1-ness is closed
   // under successors outside the target, so the system never touches an
   // infinite value.
-  const StateSet solve_states = sure - target;
-  const std::vector<std::size_t> order = solve_states.members();
+  const std::vector<std::size_t> order = (sure - target).members();
   if (order.empty()) return result;
 
-  std::unordered_map<std::size_t, std::size_t> compact;
-  compact.reserve(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) compact.emplace(order[i], i);
-
-  const CsrMatrix p = model.chain().embedded_dtmc();
   const std::vector<double> effective = effective_reward_rates(model);
-  CsrBuilder a(order.size(), order.size());
+  // exit > 0 is guaranteed: an absorbing non-target state cannot be
+  // "sure" to reach the target.
   std::vector<double> b(order.size(), 0.0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t s = order[i];
-    const double exit = model.chain().exit_rate(s);
-    // exit > 0 is guaranteed: an absorbing non-target state cannot be
-    // "sure" to reach the target.
-    b[i] = effective[s] / exit;
-    for (const auto& e : p.row(s)) {
-      if (const auto it = compact.find(e.col); it != compact.end())
-        a.add(i, it->second, e.value);
-    }
-  }
-  const std::vector<double> x = solve_fixpoint(a.build(), b, solver);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    b[i] = effective[order[i]] / model.chain().exit_rate(order[i]);
+  const std::vector<double> x = solve_fixpoint(
+      model.chain().embedded_dtmc().principal_submatrix(order), b, solver);
   for (std::size_t i = 0; i < order.size(); ++i) result[order[i]] = x[i];
   return result;
 }
@@ -85,27 +65,10 @@ std::vector<double> Checker::reward_values_internal(const Formula& f) const {
     case RewardQuery::kReachability:
       return reachability_reward(*model_, sat_internal(*f.reward_target()),
                                  options_.solver);
-    case RewardQuery::kSteadyState: {
-      // Long-run reward rate: per BSCC the stationary average of the
-      // effective reward, mixed by the absorption probabilities.
-      const std::size_t n = model_->num_states();
-      const std::vector<StateSet> bsccs = bottom_sccs(model_->rates());
-      const std::vector<double> effective = effective_reward_rates(*model_);
-      const StateSet everything(n, /*filled=*/true);
-      std::vector<double> result(n, 0.0);
-      for (const StateSet& bscc : bsccs) {
-        const std::vector<std::size_t> members = bscc.members();
-        const std::vector<double> pi =
-            component_stationary(model_->chain(), members, options_.solver);
-        double rate = 0.0;
-        for (std::size_t i = 0; i < members.size(); ++i)
-          rate += pi[i] * effective[members[i]];
-        if (rate == 0.0) continue;
-        const std::vector<double> reach = unbounded_until(everything, bscc);
-        for (std::size_t s = 0; s < n; ++s) result[s] += reach[s] * rate;
-      }
-      return result;
-    }
+    case RewardQuery::kSteadyState:
+      // Long-run reward rate: the stationary average of the effective
+      // reward, mixed over the BSCCs (steady.cpp).
+      return long_run_average(effective_reward_rates(*model_));
   }
   throw Error("reward_values: invalid reward query");
 }

@@ -1,10 +1,6 @@
 #include "core/reward_ops.hpp"
 
-#include <cmath>
-
-#include "ctmc/foxglynn.hpp"
 #include "matrix/vector_ops.hpp"
-#include "util/error.hpp"
 
 namespace csrl {
 
@@ -33,75 +29,15 @@ std::vector<double> expected_instantaneous_reward_all_starts(
 
 std::vector<double> expected_accumulated_reward_all_starts(
     const Mrm& model, double t, const TransientOptions& options) {
-  const std::size_t n = model.num_states();
-  if (!(t >= 0.0) || !std::isfinite(t))
-    throw ModelError("expected_accumulated_reward: time must be >= 0");
-  if (t == 0.0 || n == 0) return std::vector<double>(n, 0.0);
-
-  const Ctmc& chain = model.chain();
-  const std::vector<double> effective = effective_reward_rates(model);
-  if (chain.max_exit_rate() == 0.0) {
-    // Nothing ever moves: Y_t = rho(s) t deterministically.
-    std::vector<double> result = effective;
-    scale(result, t);
-    return result;
-  }
-
-  const double lambda = chain.max_exit_rate();
-  const CsrMatrix p = chain.uniformised_dtmc(lambda);
-  const PoissonWeights weights = poisson_weights(lambda * t, options.epsilon);
-
-  // Backward analogue of the integrated-Poisson identity: E_s[Y_t] =
-  // (1/lambda) sum_n Pr{N > n} (P^n rho~)(s).
-  double tail = weights.total;
-  std::vector<double> v = effective;
-  std::vector<double> scratch(n, 0.0);
-  std::vector<double> result(n, 0.0);
-  for (std::size_t step = 0; step <= weights.right; ++step) {
-    tail -= weights.weight(step);
-    if (tail > 0.0) axpy(tail, v, result);
-    if (step < weights.right) {
-      p.multiply(v, scratch);
-      v.swap(scratch);
-    }
-  }
-  scale(result, 1.0 / lambda);
-  return result;
+  return transient_backward_cumulative(model.chain(),
+                                       effective_reward_rates(model), t,
+                                       options);
 }
 
 double expected_accumulated_reward(const Mrm& model, double t,
                                    const TransientOptions& options) {
-  if (!(t >= 0.0) || !std::isfinite(t))
-    throw ModelError("expected_accumulated_reward: time must be >= 0");
-  if (t == 0.0 || model.num_states() == 0) return 0.0;
-
-  const Ctmc& chain = model.chain();
-  const double lambda =
-      chain.max_exit_rate() > 0.0 ? chain.max_exit_rate() : 1.0;
-  const CsrMatrix p = chain.uniformised_dtmc(lambda);
-
-  // The truncation error of the integral series is bounded by
-  // rho_max * t * epsilon, because sum_n Pr{N > n} = lambda t.
-  const PoissonWeights weights = poisson_weights(lambda * t, options.epsilon);
-
-  // Impulses enter as their arrival intensity (see effective_reward_rates).
-  const std::vector<double> effective = effective_reward_rates(model);
-
-  // tail(n) = Pr{N(lambda t) > n}, accumulated from the truncated window.
-  double tail = weights.total;  // ~ Pr{N >= left}
-  std::vector<double> pi = model.initial_distribution();
-  std::vector<double> scratch(pi.size(), 0.0);
-
-  double acc = 0.0;
-  for (std::size_t n = 0; n <= weights.right; ++n) {
-    tail -= weights.weight(n);  // now Pr{N > n}
-    if (tail > 0.0) acc += tail * dot(pi, effective);
-    if (n < weights.right) {
-      p.multiply_left(pi, scratch);
-      pi.swap(scratch);
-    }
-  }
-  return acc / lambda;
+  return dot(model.initial_distribution(),
+             expected_accumulated_reward_all_starts(model, t, options));
 }
 
 }  // namespace csrl

@@ -2,12 +2,13 @@
 //
 // Not part of CSRL's boolean fragment, but the natural quantitative
 // companions: the expected instantaneous reward rate E[rho(X_t)] and the
-// expected accumulated reward E[Y_t].  Both are computed by
-// uniformisation; E[Y_t] uses the standard integrated-Poisson identity
+// expected accumulated reward E[Y_t].  Both run on the shared
+// uniformisation series loop; E_s[Y_t] runs it backward on tail windows,
 //
-//   E[Y_t] = (1/lambda) * sum_{n>=0} Pr{N(lambda t) > n} * (pi_n . rho),
+//   E_s[Y_t] = (1/lambda) * sum_{n>=0} Pr{N(lambda t) > n} * (P^n rho~)(s),
 //
-// with pi_n the n-step distribution of the uniformised DTMC.
+// rho~ the effective reward rates, within rho_max t epsilon plus the
+// steady-state cutoff term stated at transient_backward_cumulative.
 #pragma once
 
 #include "ctmc/uniformisation.hpp"
@@ -20,7 +21,7 @@ double expected_instantaneous_reward(const Mrm& model, double t,
                                      const TransientOptions& options = {});
 
 /// E[Y_t], the expected reward accumulated over [0, t], from the model's
-/// initial distribution.
+/// initial distribution: dot(initial, expected_accumulated_reward_all_starts).
 double expected_accumulated_reward(const Mrm& model, double t,
                                    const TransientOptions& options = {});
 
@@ -34,7 +35,7 @@ std::vector<double> effective_reward_rates(const Mrm& model);
 std::vector<double> expected_instantaneous_reward_all_starts(
     const Mrm& model, double t, const TransientOptions& options = {});
 
-/// E_s[Y_t] for every start state s (one backward uniformisation);
+/// E_s[Y_t] for every start state s (one backward tail-window series);
 /// includes impulse contributions.
 std::vector<double> expected_accumulated_reward_all_starts(
     const Mrm& model, double t, const TransientOptions& options = {});

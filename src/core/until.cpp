@@ -1,6 +1,5 @@
 // Implementation of the four until property classes (P0-P3).
 #include <cmath>
-#include <unordered_map>
 
 #include "core/checker.hpp"
 #include "ctmc/graph.hpp"
@@ -11,35 +10,10 @@
 
 namespace csrl {
 
-namespace {
-
-/// Qualitative precomputation for unbounded until on the transition graph:
-/// prob-0 states (cannot reach Psi through Phi) and prob-1 states (cannot
-/// avoid doing so).
-struct UntilPrecomputation {
-  StateSet zero;
-  StateSet one;
-};
-
-UntilPrecomputation qualitative_until(const CsrMatrix& adjacency,
-                                      const StateSet& phi,
-                                      const StateSet& psi) {
-  const StateSet through = phi - psi;
-  UntilPrecomputation pre;
-  pre.zero = backward_reachable(adjacency, psi, through).complement();
-  // A state misses probability 1 exactly if it can wander into a prob-0
-  // state while staying in Phi \ Psi.
-  pre.one = backward_reachable(adjacency, pre.zero, through).complement();
-  return pre;
-}
-
-}  // namespace
-
 std::vector<double> Checker::unbounded_until(const StateSet& phi,
                                              const StateSet& psi) const {
   CSRL_SPAN("core/until/p0");
   const std::size_t n = model_->num_states();
-  const CsrMatrix p = model_->chain().embedded_dtmc();
   const UntilPrecomputation pre = qualitative_until(model_->rates(), phi, psi);
 
   std::vector<double> result(n, 0.0);
@@ -49,26 +23,16 @@ std::vector<double> Checker::unbounded_until(const StateSet& phi,
   const std::vector<std::size_t> maybe_states = maybe.members();
   if (maybe_states.empty()) return result;
 
+  const CsrMatrix p = model_->chain().embedded_dtmc();
   // x = A x + b on the maybe states, with A the embedded DTMC restricted
   // to maybe x maybe and b the one-step probability into the prob-1 set.
-  std::unordered_map<std::size_t, std::size_t> compact;
-  compact.reserve(maybe_states.size());
-  for (std::size_t i = 0; i < maybe_states.size(); ++i)
-    compact.emplace(maybe_states[i], i);
-
-  CsrBuilder a(maybe_states.size(), maybe_states.size());
   std::vector<double> b(maybe_states.size(), 0.0);
-  for (std::size_t i = 0; i < maybe_states.size(); ++i) {
-    for (const auto& e : p.row(maybe_states[i])) {
-      if (pre.one.contains(e.col)) {
-        b[i] += e.value;
-      } else if (const auto it = compact.find(e.col); it != compact.end()) {
-        a.add(i, it->second, e.value);
-      }
-    }
-  }
+  for (std::size_t i = 0; i < maybe_states.size(); ++i)
+    for (const auto& e : p.row(maybe_states[i]))
+      if (pre.one.contains(e.col)) b[i] += e.value;
 
-  const std::vector<double> x = solve_fixpoint(a.build(), b, options_.solver);
+  const std::vector<double> x = solve_fixpoint(
+      p.principal_submatrix(maybe_states), b, options_.solver);
   for (std::size_t i = 0; i < maybe_states.size(); ++i)
     result[maybe_states[i]] = x[i];
   return result;

@@ -60,6 +60,18 @@ StateSet backward_reachable(const CsrMatrix& adjacency, const StateSet& targets,
   return visited;
 }
 
+UntilPrecomputation qualitative_until(const CsrMatrix& adjacency,
+                                      const StateSet& phi,
+                                      const StateSet& psi) {
+  const StateSet through = phi - psi;
+  UntilPrecomputation pre;
+  pre.zero = backward_reachable(adjacency, psi, through).complement();
+  // A state misses probability 1 exactly if it can wander into a prob-0
+  // state while staying in Phi \ Psi.
+  pre.one = backward_reachable(adjacency, pre.zero, through).complement();
+  return pre;
+}
+
 std::vector<std::vector<std::size_t>> strongly_connected_components(
     const CsrMatrix& adjacency) {
   check_square(adjacency, "strongly_connected_components");

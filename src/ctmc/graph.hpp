@@ -25,6 +25,18 @@ StateSet forward_reachable(const CsrMatrix& adjacency, const StateSet& from);
 StateSet backward_reachable(const CsrMatrix& adjacency, const StateSet& targets,
                             const StateSet& through);
 
+/// Qualitative precomputation of unbounded until Phi U Psi: `zero` holds
+/// the states that cannot reach Psi through Phi \ Psi (Prob0), `one` the
+/// states that cannot avoid doing so (Prob1).  With Phi = all states this
+/// is the almost-sure reachability analysis of F Psi.
+struct UntilPrecomputation {
+  StateSet zero;
+  StateSet one;
+};
+UntilPrecomputation qualitative_until(const CsrMatrix& adjacency,
+                                      const StateSet& phi,
+                                      const StateSet& psi);
+
 /// Strongly connected components in reverse topological order of the
 /// condensation (Tarjan); each component lists its member states.
 std::vector<std::vector<std::size_t>> strongly_connected_components(

@@ -1,7 +1,6 @@
 #include "ctmc/stationary.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -14,25 +13,17 @@ std::vector<double> component_stationary(const Ctmc& chain,
     throw ModelError("component_stationary: empty component");
   if (members.size() == 1) return {1.0};
 
-  std::unordered_map<std::size_t, std::size_t> compact;
-  compact.reserve(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i)
-    compact.emplace(members[i], i);
-
-  CsrBuilder restricted(members.size(), members.size());
+  const Ctmc sub(chain.rates().principal_submatrix(members));
   double max_exit = 0.0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
+  for (const std::size_t s : members) {
     double exit = 0.0;
-    for (const auto& e : chain.rates().row(members[i])) {
-      const auto it = compact.find(e.col);
-      if (it == compact.end())
+    for (const auto& e : chain.rates().row(s)) {
+      if (!std::binary_search(members.begin(), members.end(), e.col))
         throw ModelError("component_stationary: component is not closed");
-      restricted.add(i, it->second, e.value);
       exit += e.value;
     }
     max_exit = std::max(max_exit, exit);
   }
-  const Ctmc sub(restricted.build());
   // Strictly above the max exit rate => the uniformised chain is aperiodic
   // and the power iteration converges.
   const double lambda = max_exit * 1.05 + 1e-3;

@@ -15,7 +15,8 @@
 namespace csrl {
 
 /// Stationary distribution of the CTMC restricted to the closed component
-/// with the given member states, indexed like `members`.  The component
+/// with the given member states (strictly ascending, as
+/// StateSet::members() lists them), indexed like `members`.  The component
 /// must be closed (no rate leaves it) and strongly connected; a singleton
 /// trivially yields {1}.
 std::vector<double> component_stationary(const Ctmc& chain,

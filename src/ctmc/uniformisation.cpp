@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "ctmc/foxglynn.hpp"
 #include "matrix/simd.hpp"
@@ -92,6 +93,28 @@ bool weights_at(const std::vector<PoissonWeights>& windows, std::size_t n,
     any = any || covered;
   }
   return any;
+}
+
+/// What a window weighs the step-n iterate with: the Poisson pmf
+/// Pr{N = n} (the value at t) or its tail Pr{N > n} (lambda times the
+/// value integrated over [0, t]).
+enum class WindowKind { kPmf, kTail };
+
+/// Tails Pr{N > n} = total - sum_{m <= n} pmf(m) for n = 0..right,
+/// clamped at 0.0: a clamped step is an exact-zero lane weight, a
+/// bit-level no-op in the series loop.
+PoissonWeights tail_window(const PoissonWeights& pmf) {
+  PoissonWeights tail;
+  tail.right = pmf.right;
+  // lint:allow hot-alloc (per-horizon window setup, before the series loop)
+  tail.weights.resize(pmf.right + 1);
+  double remaining = pmf.total;
+  for (std::size_t n = 0; n <= pmf.right; ++n) {
+    remaining -= pmf.weight(n);
+    tail.weights[n] = remaining > 0.0 ? remaining : 0.0;
+    tail.total += tail.weights[n];
+  }
+  return tail;
 }
 
 /// The one series loop behind every transient entry point, single- or
@@ -250,12 +273,15 @@ void accumulate_series(const CsrMatrix& p, bool forward,
 /// builds the per-horizon windows, leases the iteration buffers and runs
 /// the series loop.  `start` is the t = 0 vector (initial distribution
 /// or terminal values); `forward` selects distribution pushing (y = x P)
-/// over value backpropagation (y = P x).
+/// over value backpropagation (y = P x).  With WindowKind::kTail every
+/// result is the integral over [0, t] instead: the tail-weighted sum
+/// scaled by 1/lambda, and start * t where nothing moves.
 std::vector<std::vector<double>> run_batch(const Ctmc& chain,
                                            std::span<const double> start,
                                            std::span<const double> times,
                                            const TransientOptions& options,
-                                           const char* what, bool forward) {
+                                           const char* what, bool forward,
+                                           WindowKind kind = WindowKind::kPmf) {
   const std::size_t n = chain.num_states();
   if (start.size() != n)
     throw ModelError(std::string(what) + ": vector size mismatch");
@@ -267,11 +293,14 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   std::vector<std::vector<double>> results(times.size());
   std::vector<std::size_t> series;
   for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] == 0.0 || n == 0 || chain.max_exit_rate() == 0.0)
+    if (times[i] == 0.0 || n == 0 || chain.max_exit_rate() == 0.0) {
       results[i].assign(start.begin(), start.end());
-    else
+      if (kind == WindowKind::kTail)
+        for (double& v : results[i]) v *= times[i];
+    } else {
       // lint:allow hot-alloc (horizon scan at entry, before the series loop)
       series.push_back(i);
+    }
   }
   if (series.empty()) return results;
 
@@ -282,8 +311,10 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   std::vector<PoissonWeights> windows;
   windows.reserve(num_windows);
   for (std::size_t i : series) {
+    PoissonWeights pmf = poisson_weights(lambda * times[i], options.epsilon);
     // lint:allow hot-alloc (per-horizon window setup into capacity reserved above, before the series loop)
-    windows.push_back(poisson_weights(lambda * times[i], options.epsilon));
+    windows.push_back(kind == WindowKind::kTail ? tail_window(pmf)
+                                                : std::move(pmf));
     // lint:allow hot-alloc (sizes each result once at entry, before the series loop)
     results[i].resize(n);
   }
@@ -319,6 +350,11 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
       std::vector<double>& out = results[series[w]];
       for (std::size_t i = 0; i < n; ++i) out[i] = acc[i * num_windows + w];
     }
+  }
+  if (kind == WindowKind::kTail) {
+    const double inv_lambda = 1.0 / lambda;
+    for (std::size_t i : series)
+      for (double& v : results[i]) v *= inv_lambda;
   }
   CSRL_COUNT("uniformisation/allocs_in_loop", guard.heap_allocations());
   return results;
@@ -410,6 +446,18 @@ std::vector<double> transient_reach(const Ctmc& chain, const StateSet& target,
   if (target.size() != chain.num_states())
     throw ModelError("transient_reach: target universe size mismatch");
   return transient_backward(chain, target.indicator(), t, options);
+}
+
+std::vector<double> transient_backward_cumulative(
+    const Ctmc& chain, std::span<const double> rates, double t,
+    const TransientOptions& options) {
+  require_finite_terminal(rates, "transient_backward_cumulative");
+  CSRL_SPAN("ctmc/transient/cumulative");
+  const double times[1] = {t};
+  auto results =
+      run_batch(chain, rates, times, options, "transient_backward_cumulative",
+                /*forward=*/false, WindowKind::kTail);
+  return std::move(results[0]);
 }
 
 std::vector<std::vector<double>> transient_distribution_batch(

@@ -104,6 +104,23 @@ std::vector<double> transient_reach(const Ctmc& chain, const StateSet& target,
                                     double t,
                                     const TransientOptions& options = {});
 
+/// Backward cumulative transient analysis: u(s) = E_s[integral_0^t
+/// v(X_u) du] for every start state s (R=?[C<=t] with v the effective
+/// reward rates).  The shared series loop runs on tail windows,
+/// u = (1/lambda) sum_{n=0}^{right} Pr{N > n} P^n v; where nothing moves
+/// (t == 0, every state absorbing) u = v t.  Entries of v must be finite
+/// and are not confined to [0, 1].  For v >= 0 with maximum rho_max:
+///   |u(s) - E_s[Y_t]| <= rho_max t epsilon + tolerance lambda t^2 / 2.
+/// The first term is the truncation (each of the ~lambda t tails falls
+/// short of Pr{N > n} by at most epsilon).  The second applies only when
+/// the steady-state cutoff fires: later iterates move by at most the
+/// tolerance per step (P is stochastic), and the folded tails weigh
+/// iterate m by Pr{N > m}, whose m-weighted sum is (lambda t)^2 / 2.
+/// With steady_state_detection off, u is the plain series bit for bit.
+std::vector<double> transient_backward_cumulative(
+    const Ctmc& chain, std::span<const double> rates, double t,
+    const TransientOptions& options = {});
+
 // -- Batched (multi-horizon) forms -----------------------------------------
 //
 // One vector-power sequence P^n serves every horizon at once: the iterate

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -548,6 +549,34 @@ CsrMatrix CsrMatrix::scaled(double factor) const {
   CsrMatrix m = *this;
   for (auto& e : m.entries_) e.value *= factor;
   return m;
+}
+
+CsrMatrix CsrMatrix::principal_submatrix(
+    std::span<const std::size_t> members) const {
+  if (rows_ != cols_)
+    throw ModelError("principal_submatrix: matrix is not square");
+  for (std::size_t i = 0; i < members.size(); ++i)
+    if (members[i] >= rows_ || (i > 0 && members[i] <= members[i - 1]))
+      throw ModelError(
+          "principal_submatrix: members must be strictly ascending states");
+  const std::size_t m = members.size();
+  CsrMatrix sub(m, m);
+  if (m == 0) return sub;
+
+  constexpr std::size_t kOutside = std::numeric_limits<std::size_t>::max();
+  const std::size_t first = members.front();
+  std::vector<std::size_t> local(members.back() - first + 1, kOutside);
+  for (std::size_t i = 0; i < m; ++i) local[members[i] - first] = i;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (const CsrEntry& e : row_unchecked(members[i])) {
+      if (e.col < first || e.col - first >= local.size()) continue;
+      const std::size_t j = local[e.col - first];
+      // Zero values are dropped, as CsrBuilder::add does.
+      if (j != kOutside && e.value != 0.0) sub.entries_.push_back({j, e.value});
+    }
+    sub.row_ptr_[i + 1] = sub.entries_.size();
+  }
+  return sub;
 }
 
 double CsrMatrix::max_abs() const {

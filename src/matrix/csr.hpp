@@ -208,6 +208,13 @@ class CsrMatrix {
   /// Copy with every value multiplied by `factor`.
   CsrMatrix scaled(double factor) const;
 
+  /// Principal submatrix on the strictly ascending state subset `members`:
+  /// entry (i, j) is (members[i], members[j]); columns outside the subset
+  /// are dropped, row order is kept, so it equals the CsrBuilder assembly
+  /// bit for bit.  The local index is dense over [front, back] of the
+  /// subset.  Throws ModelError unless square, sorted and in range.
+  CsrMatrix principal_submatrix(std::span<const std::size_t> members) const;
+
   /// Maximum of the absolute values of all stored entries (0 for empty).
   double max_abs() const;
 

@@ -34,9 +34,10 @@ ModelDiagnostics diagnose(const Mrm& model) {
   d.min_positive_exit_rate = min_positive;
   d.stiffness = min_positive > 0.0 ? d.max_exit_rate / min_positive : 0.0;
 
-  d.num_bsccs = bottom_sccs(model.rates()).size();
+  const std::vector<StateSet> bsccs = bottom_sccs(model.rates());
+  d.num_bsccs = bsccs.size();
   d.irreducible = d.num_bsccs == 1 && d.unreachable.empty() &&
-                  bottom_sccs(model.rates()).front().count() == n;
+                  bsccs.front().count() == n;
 
   d.max_reward = model.max_reward();
   d.has_impulse_rewards = model.has_impulse_rewards();

@@ -321,6 +321,12 @@ class LegacyRulesTest(unittest.TestCase):
             "void f(int n) { for (int i = 0; i < n; ++i)"
             " { m.multiply(x, y); } }\n"})
         self.assertIn("spmm-blocking", {f.rule for f in opens})
+        # A hand-rolled one-RHS series in core/ is flagged too: transient
+        # series belong on the shared loop of ctmc/uniformisation.cpp.
+        opens, _, _ = run_on({"core/reward_ops.cpp":
+            "void f(int n) { for (int i = 0; i < n; ++i)"
+            " { p.multiply_left(pi, scratch); } }\n"})
+        self.assertIn("spmm-blocking", {f.rule for f in opens})
 
 
 class ReportTest(unittest.TestCase):

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace csrl {
@@ -124,6 +126,51 @@ TEST(CsrMatrix, ScaledAndMaxAbs) {
   EXPECT_DOUBLE_EQ(m.at(2, 2), -10.0);
   EXPECT_DOUBLE_EQ(m.max_abs(), 10.0);
   EXPECT_DOUBLE_EQ(CsrMatrix(3, 3).max_abs(), 0.0);
+}
+
+TEST(CsrMatrix, PrincipalSubmatrixKeepsInsideEntriesInRowOrder) {
+  // Subset {0, 2} of small(): [ 1 0 ] / [ 4 5 ]; the (0, 1) and (1, 2)
+  // entries leave the subset and are dropped, row 1 is not selected.
+  const CsrMatrix sub = small().principal_submatrix(std::vector<std::size_t>{0, 2});
+  ASSERT_EQ(sub.rows(), 2u);
+  ASSERT_EQ(sub.cols(), 2u);
+  EXPECT_EQ(sub.nnz(), 3u);
+  EXPECT_EQ(sub.at(0, 0), 1.0);
+  EXPECT_EQ(sub.at(0, 1), 0.0);
+  EXPECT_EQ(sub.at(1, 0), 4.0);
+  EXPECT_EQ(sub.at(1, 1), 5.0);
+
+  // Bit for bit the CsrBuilder assembly of the same entries.
+  CsrBuilder b(2, 2);
+  b.add(0, 0, 1.0);
+  b.add(1, 0, 4.0);
+  b.add(1, 1, 5.0);
+  const CsrMatrix built = b.build();
+  for (std::size_t r = 0; r < 2; ++r) {
+    ASSERT_EQ(sub.row(r).size(), built.row(r).size());
+    for (std::size_t k = 0; k < built.row(r).size(); ++k) {
+      EXPECT_EQ(sub.row(r)[k].col, built.row(r)[k].col);
+      EXPECT_EQ(sub.row(r)[k].value, built.row(r)[k].value);
+    }
+  }
+}
+
+TEST(CsrMatrix, PrincipalSubmatrixEdgeCases) {
+  const CsrMatrix m = small();
+  EXPECT_EQ(m.principal_submatrix({}).rows(), 0u);
+  const CsrMatrix all = m.principal_submatrix(std::vector<std::size_t>{0, 1, 2});
+  EXPECT_EQ(all.nnz(), m.nnz());
+  // A singleton keeps only its diagonal entry.
+  EXPECT_EQ(m.principal_submatrix(std::vector<std::size_t>{2}).nnz(), 1u);
+  EXPECT_THROW((void)m.principal_submatrix(std::vector<std::size_t>{2, 0}),
+               ModelError);
+  EXPECT_THROW((void)m.principal_submatrix(std::vector<std::size_t>{1, 1}),
+               ModelError);
+  EXPECT_THROW((void)m.principal_submatrix(std::vector<std::size_t>{3}),
+               ModelError);
+  EXPECT_THROW(
+      (void)CsrMatrix(2, 3).principal_submatrix(std::vector<std::size_t>{0}),
+      ModelError);
 }
 
 TEST(CsrMatrix, RectangularShapes) {
